@@ -23,6 +23,7 @@ from .groups import (
     cyclic,
     dicyclic,
     dihedral,
+    element_at,
     element_order,
     element_orders,
 )
@@ -38,6 +39,7 @@ __all__ = [
     "degree_dihedral",
     "degree_dicyclic",
     "theta_degree",
+    "theta_degrees",
     "is_hamiltonian_cyclic",
     "is_hamiltonian_dihedral",
     "is_hamiltonian_dicyclic",
@@ -206,6 +208,26 @@ def theta_degree(group: GroupSpec, x: GroupElement) -> int:
     if group.family is Family.DIHEDRAL:
         return degree_dihedral(group.n, x)
     return degree_dicyclic(group.n, x)
+
+
+def theta_degrees(group: GroupSpec) -> list[int]:
+    """Degrees of all vertices, aligned with the canonical listing.
+
+    A degree depends only on the element's order and on whether the element
+    lies in the cyclic part (the first half of a dihedral or dicyclic
+    listing), so theta_degree runs once per such class, on the class's first
+    element, and the class shares the result.
+    """
+    split = group.order if group.family is Family.CYCLIC else group.order // 2
+    by_class: dict[tuple[int, bool], int] = {}
+    degrees = []
+    for v, d in enumerate(element_orders(group)):
+        key = (d, v >= split)
+        degree = by_class.get(key)
+        if degree is None:
+            degree = by_class[key] = theta_degree(group, element_at(group, v))
+        degrees.append(degree)
+    return degrees
 
 
 # ---------------------------------------------------------------------------

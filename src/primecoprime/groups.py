@@ -29,6 +29,8 @@ __all__ = [
     "dicyclic",
     "parse_element",
     "elements",
+    "element_labels",
+    "element_at",
     "element_index",
     "element_order",
     "element_orders",
@@ -145,6 +147,17 @@ def elements(group: GroupSpec) -> list[GroupElement]:
     ]
 
 
+def element_labels(group: GroupSpec) -> list[str]:
+    """Canonical text labels of all elements, in canonical order; the same
+    as [e.text() for e in elements(group)] without building the elements."""
+    n = group.n
+    if group.family is Family.CYCLIC:
+        return [f"g{i}" for i in range(n)]
+    if group.family is Family.DIHEDRAL:
+        return [f"r{i}" for i in range(n)] + [f"s{i}" for i in range(n)]
+    return [f"a{i}" for i in range(2 * n)] + [f"a{i}b" for i in range(2 * n)]
+
+
 def _check_membership(group: GroupSpec, element: GroupElement) -> None:
     if _KIND_FAMILY[element.kind] is not group.family:
         raise ValueError(f"element {element} does not belong to a {group.family.value} group")
@@ -168,6 +181,20 @@ def element_index(group: GroupSpec, element: GroupElement) -> int:
     return 2 * group.n + element.index
 
 
+def element_at(group: GroupSpec, index: int) -> GroupElement:
+    """Element at this position of the canonical listing; the inverse of
+    element_index."""
+    if not 0 <= index < group.order:
+        raise ValueError(f"index {index} out of range for {group}")
+    if group.family is Family.CYCLIC:
+        return GroupElement("g", index)
+    inner, outer = ("r", "s") if group.family is Family.DIHEDRAL else ("a", "ab")
+    half = group.order // 2
+    if index < half:
+        return GroupElement(inner, index)
+    return GroupElement(outer, index - half)
+
+
 def element_order(group: GroupSpec, element: GroupElement) -> int:
     """Order of the element, by closed form."""
     _check_membership(group, element)
@@ -184,8 +211,19 @@ def element_order(group: GroupSpec, element: GroupElement) -> int:
 
 
 def element_orders(group: GroupSpec) -> list[int]:
-    """Orders of all elements, aligned with the canonical listing."""
-    return [element_order(group, e) for e in elements(group)]
+    """Orders of all elements, aligned with the canonical listing.
+
+    Same closed forms as element_order, evaluated over the index range: the
+    cyclic part of order m holds i -> m / gcd(m, i), and every element
+    outside it has order 2 (dihedral) or 4 (dicyclic).
+    """
+    m = 2 * group.n if group.family is Family.DICYCLIC else group.n
+    orders = [m // math.gcd(m, i) for i in range(m)]
+    if group.family is Family.DIHEDRAL:
+        orders += [2] * m
+    elif group.family is Family.DICYCLIC:
+        orders += [4] * m
+    return orders
 
 
 def order_class_counts(group: GroupSpec) -> dict[int, int]:

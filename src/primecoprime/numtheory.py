@@ -1,14 +1,18 @@
 """Integer arithmetic: primality, factorization, totient, divisor lists.
 
-Everything here is deterministic trial division; the callers only ever need
-moderate sizes (group parameters, element orders), so no sieve state is kept.
+The public functions use deterministic trial division and keep no state
+between calls; the callers mostly need moderate sizes (group parameters,
+element orders).  A sweep that factorizes every n of a range sieves the
+range in bounded segments instead (_factorizations), with the same trial
+divisors.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, count, product
 
 __all__ = [
     "Factorization",
@@ -72,6 +76,18 @@ class Factorization:
         if rebuilt != self.value:
             raise ValueError(f"factors rebuild {rebuilt}, expected {self.value}")
 
+    @classmethod
+    def _trusted(
+        cls, value: int, primes: tuple[int, ...], exponents: tuple[int, ...]
+    ) -> Factorization:
+        """Build without validation; only for factorizations this module
+        has just computed, whose bases are prime by construction."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "value", value)
+        object.__setattr__(f, "primes", primes)
+        object.__setattr__(f, "exponents", exponents)
+        return f
+
     @property
     def prime_count(self) -> int:
         return len(self.primes)
@@ -104,7 +120,48 @@ def factorize(n: int) -> Factorization:
     if rest > 1:
         primes.append(rest)
         exponents.append(1)
-    return Factorization(n, tuple(primes), tuple(exponents))
+    return Factorization._trusted(n, tuple(primes), tuple(exponents))
+
+
+# n per segment of _factorizations; bounds its memory whatever the range
+_SEGMENT = 1 << 13
+
+
+def _factorizations(lo: int, hi: int) -> Iterator[Factorization]:
+    """factorize(n) for each n in lo..hi (lo >= 1), in ascending order.
+
+    The range is sieved one segment at a time.  Each trial divisor of
+    factorize (2, 3 and the 6k+-1 wheel) up to the square root of the
+    segment's end visits only its own multiples in the segment, so a dense
+    sweep pays about log log n steps per n, not the sqrt(n) of trial
+    division.  Divisors run in ascending order, so a composite divisor
+    finds its prime factors already removed and is skipped.
+    """
+    for a in range(lo, hi + 1, _SEGMENT):
+        b = min(a + _SEGMENT - 1, hi)
+        rest = list(range(a, b + 1))
+        primes: list[list[int]] = [[] for _ in rest]
+        exponents: list[list[int]] = [[] for _ in rest]
+        for d in chain((2, 3), chain.from_iterable(zip(count(5, 6), count(7, 6)))):
+            if d * d > b:
+                break
+            for i in range(-a % d, len(rest), d):
+                m = rest[i]
+                if m % d:
+                    continue
+                e = 0
+                while m % d == 0:
+                    m //= d
+                    e += 1
+                rest[i] = m
+                primes[i].append(d)
+                exponents[i].append(e)
+        # what is left of n is 1 or a prime above every divisor tried
+        for n, m, ps, es in zip(range(a, b + 1), rest, primes, exponents):
+            if m > 1:
+                ps.append(m)
+                es.append(1)
+            yield Factorization._trusted(n, tuple(ps), tuple(es))
 
 
 def euler_phi(n: int) -> int:
@@ -118,7 +175,11 @@ def euler_phi(n: int) -> int:
 
 def divisors(n: int) -> list[int]:
     """All positive divisors of n, ascending."""
-    f = factorize(n)
+    return _divisors_of(factorize(n))
+
+
+def _divisors_of(f: Factorization) -> list[int]:
+    """All positive divisors of f.value, ascending."""
     divs = [1]
     for p, e in zip(f.primes, f.exponents):
         powers = [p**k for k in range(e + 1)]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
 
-from .groups import GroupSpec, element_orders, elements
+from .groups import GroupSpec, element_labels, element_orders
 from .numtheory import is_prime
 
 __all__ = [
@@ -246,7 +246,7 @@ def build_theta(group: GroupSpec, vertex_cap: int = DEFAULT_VERTEX_CAP) -> Simpl
             f"{group} has {group.order} elements, above the cap of {vertex_cap}"
         )
     orders = element_orders(group)
-    labels = tuple(e.text() for e in elements(group))
+    labels = tuple(element_labels(group))
     classes: dict[int, list[int]] = {}
     for v, d in enumerate(orders):
         classes.setdefault(d, []).append(v)

@@ -16,11 +16,10 @@ from . import oracles
 from .groups import (
     Family,
     GroupSpec,
-    elements,
     is_epo,
     s_indices,
 )
-from .numtheory import divisors, euler_phi, factorize, phi_sum_expansion
+from .numtheory import _divisors_of, _factorizations, euler_phi, phi_sum_expansion
 from .pcgraph import (
     DEFAULT_VERTEX_CAP,
     build_theta,
@@ -136,13 +135,18 @@ def _verdict(ok: bool) -> str:
 
 
 def run_phi_sum(lo: int = 2, hi: int = 100000) -> list[ClaimRecord]:
-    """phi_sum_expansion(factorize(n)) == sum of euler_phi over divisors == n."""
+    """phi_sum_expansion(factorize(n)) == sum of euler_phi over divisors == n.
+
+    The range is factorized by one segmented sieve; the divisors come from
+    the same factorization, and each euler_phi(d) from trial division.
+    """
     records = []
     cache: dict[int, int] = {}
-    for n in range(max(lo, 2), hi + 1):
-        formula = phi_sum_expansion(factorize(n))
+    for f in _factorizations(max(lo, 2), hi):
+        n = f.value
+        formula = phi_sum_expansion(f)
         total = 0
-        for d in divisors(n):
+        for d in _divisors_of(f):
             value = cache.get(d)
             if value is None:
                 value = euler_phi(d)
@@ -271,30 +275,29 @@ def run_degree(
     for n in _family_values(family, lo, hi, False):
         group = GroupSpec(family, n)
         theta = build_theta(group, vertex_cap)
+        formulas = cf.theta_degrees(group)
+        oracle = [len(nbrs) for nbrs in theta.adjacency]
+        checked = zip(theta.labels, formulas, oracle)
         if per_element:
-            for i, x in enumerate(elements(group)):
-                formula = cf.theta_degree(group, x)
-                got = len(theta.adjacency[i])
+            for label, formula, got in checked:
                 records.append(
                     ClaimRecord(
-                        claim, family.value, n, x.text(), formula, got,
+                        claim, family.value, n, label, formula, got,
                         _verdict(formula == got),
                     )
                 )
         else:
-            total_formula = 0
-            total_oracle = 0
-            first_bad = None
-            for i, x in enumerate(elements(group)):
-                formula = cf.theta_degree(group, x)
-                got = len(theta.adjacency[i])
-                total_formula += formula
-                total_oracle += got
-                if formula != got and first_bad is None:
-                    first_bad = f"first mismatch at {x.text()}: {formula} != {got}"
+            first_bad = next(
+                (
+                    f"first mismatch at {label}: {formula} != {got}"
+                    for label, formula, got in checked
+                    if formula != got
+                ),
+                None,
+            )
             records.append(
                 ClaimRecord(
-                    claim, family.value, n, None, total_formula, total_oracle,
+                    claim, family.value, n, None, sum(formulas), sum(oracle),
                     _verdict(first_bad is None), first_bad,
                 )
             )

@@ -17,13 +17,16 @@ from primecoprime.closedforms import (
     is_hamiltonian_dicyclic,
     is_hamiltonian_dihedral,
     theta_degree,
+    theta_degrees,
 )
+from primecoprime import closedforms
 from primecoprime.groups import (
     Family,
     GroupSpec,
     cyclic,
     dicyclic,
     dihedral,
+    element_order,
     elements,
     parse_element,
     s_indices,
@@ -37,6 +40,8 @@ from primecoprime.oracles import (
     max_clique,
 )
 from primecoprime.pcgraph import build_theta, verify_hjoin_structure
+from primecoprime.verification import run_degree
+from conftest import naive_theta
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +150,36 @@ def test_theta_degree_matches_graph(group):
     theta = build_theta(group)
     for i, x in enumerate(elements(group)):
         assert theta_degree(group, x) == theta.degree(i), x.text()
+    assert theta_degrees(group) == [theta_degree(group, x) for x in elements(group)]
+
+
+@pytest.mark.parametrize(
+    "group",
+    [cyclic(n) for n in range(1, 25)]
+    + [dihedral(n) for n in range(3, 13)]
+    + [dicyclic(n) for n in range(2, 9)],
+    ids=str,
+)
+def test_theta_degrees_match_naive_graph(group):
+    naive = naive_theta(group)
+    assert theta_degrees(group) == [naive.degree(v) for v in range(naive.vertex_count)]
+
+
+def test_wrong_class_degree_still_fails_per_element(monkeypatch):
+    # a wrong degree for one order class reaches every element of the class
+    real = closedforms.theta_degree
+
+    def off_by_one_for_order_4(group, x):
+        degree = real(group, x)
+        return degree + 1 if element_order(group, x) == 4 else degree
+
+    monkeypatch.setattr(closedforms, "theta_degree", off_by_one_for_order_4)
+    (summary,) = run_degree(Family.CYCLIC, 12, 12, per_element=False)
+    assert summary.verdict == "fail"
+    assert summary.certificate == "first mismatch at g3: 7 != 6"
+    assert summary.formula == summary.oracle + 2
+    failing = [r.param for r in run_degree(Family.CYCLIC, 12, 12) if r.verdict == "fail"]
+    assert failing == ["g3", "g9"]
 
 
 def test_degree_handshake():

@@ -10,7 +10,9 @@ from primecoprime.groups import (
     cyclic,
     dicyclic,
     dihedral,
+    element_at,
     element_index,
+    element_labels,
     element_order,
     element_orders,
     elements,
@@ -57,6 +59,10 @@ def test_element_index_matches_listing():
     for group in (cyclic(7), dihedral(5), dicyclic(4)):
         for i, e in enumerate(elements(group)):
             assert element_index(group, e) == i
+            assert element_at(group, i) == e
+        for bad in (-1, group.order):
+            with pytest.raises(ValueError):
+                element_at(group, bad)
 
 
 def test_membership_validation():
@@ -68,16 +74,25 @@ def test_membership_validation():
         element_index(dicyclic(3), GroupElement("a", 6))
 
 
-@pytest.mark.parametrize(
-    "group",
+SMALL_GROUPS = (
     [cyclic(n) for n in range(1, 31)]
     + [dihedral(n) for n in range(3, 16)]
-    + [dicyclic(n) for n in range(2, 13)],
-    ids=str,
+    + [dicyclic(n) for n in range(2, 13)]
 )
+
+
+@pytest.mark.parametrize("group", SMALL_GROUPS, ids=str)
 def test_orders_match_multiplication(group):
-    for e in elements(group):
-        assert element_order(group, e) == naive_element_order(group, e)
+    naive = [naive_element_order(group, e) for e in elements(group)]
+    assert [element_order(group, e) for e in elements(group)] == naive
+    # element_orders evaluates the closed form over the index range without
+    # going through element_order, so it is checked on its own
+    assert element_orders(group) == naive
+
+
+@pytest.mark.parametrize("group", SMALL_GROUPS, ids=str)
+def test_element_labels_match_listing(group):
+    assert element_labels(group) == [e.text() for e in elements(group)]
 
 
 def test_order_class_counts_z12():

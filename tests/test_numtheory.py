@@ -13,6 +13,7 @@ from primecoprime.numtheory import (
     gcd,
     is_prime,
     phi_sum_expansion,
+    _factorizations,
 )
 from conftest import naive_is_prime
 
@@ -59,6 +60,27 @@ def test_factorization_validation():
         Factorization(12, (4, 3), (1, 1))  # 4 is not prime
     with pytest.raises(ValueError):
         Factorization(12, (2, 3), (2,))  # length mismatch
+
+
+def test_sieve_matches_trial_division():
+    assert list(_factorizations(1, 20000)) == [factorize(n) for n in range(1, 20001)]
+
+
+def test_sieve_ranges():
+    # ranges that start past 1 and cross segment boundaries
+    for lo, hi in ((2, 2), (9000, 26000), (99990, 100010)):
+        assert list(_factorizations(lo, hi)) == [factorize(n) for n in range(lo, hi + 1)]
+    assert list(_factorizations(5, 4)) == []
+    # a narrow range at a large bound needs no table up to the bound
+    big = 10**10
+    assert list(_factorizations(big - 3, big)) == [factorize(n) for n in range(big - 3, big + 1)]
+
+
+@given(st.integers(min_value=1, max_value=10**6))
+def test_trusted_factorization_passes_validation(n):
+    f = factorize(n)
+    # the validating constructor accepts what factorize built unchecked
+    assert f == Factorization(n, f.primes, f.exponents)
 
 
 def test_euler_phi_known_values():
