@@ -16,16 +16,7 @@ import sys
 from pathlib import Path
 
 from . import verification as ver
-from .closedforms import (
-    clique_cyclic,
-    clique_dicyclic,
-    clique_dihedral,
-    decomposition_catalog,
-    is_hamiltonian_cyclic,
-    is_hamiltonian_dicyclic,
-    is_hamiltonian_dihedral,
-    theta_degree,
-)
+from .closedforms import clique_number, decomposition_catalog, is_hamiltonian, theta_degree
 from .groups import Family, GroupSpec, parse_element
 from .oracles import DEFAULT_CLIQUE_BUDGET, DEFAULT_HAM_BUDGET
 from .pcgraph import (
@@ -42,35 +33,7 @@ EXIT_USAGE = 2
 EXIT_CAPACITY = 3
 EXIT_INCONCLUSIVE = 4
 
-_FAMILIES = {
-    "cyclic": Family.CYCLIC,
-    "dihedral": Family.DIHEDRAL,
-    "dicyclic": Family.DICYCLIC,
-}
-
-# claim -> default range; the trailing flag marks group-order semantics
-_DEFAULT_RANGES: dict[str, tuple[int, int, bool]] = {
-    "phi-sum": (2, 100000, False),
-    "dominating-set": (1, 400, True),
-    "epo-complete": (1, 400, True),
-    "clique-cyclic": (2, 100, False),
-    "clique-dihedral": (3, 50, False),
-    "clique-dicyclic": (2, 50, False),
-    "degree-cyclic": (2, 100, False),
-    "degree-dihedral": (3, 60, False),
-    "degree-dicyclic": (2, 50, False),
-    "ham-cyclic": (3, 60, False),
-    "ham-dihedral": (3, 200, False),
-    "ham-dicyclic": (2, 30, False),
-    "ham-cut-cyclic": (3, 200, False),
-    "ham-cut-dicyclic": (2, 100, False),
-    "decomp-all": (1, 600, True),
-    "decomp-cyclic": (1, 600, True),
-    "decomp-dihedral": (1, 600, True),
-    "decomp-dicyclic": (1, 600, True),
-    "dihedral-join": (3, 100, False),
-    "dicyclic-join": (3, 99, False),
-}
+_FAMILY_NAMES = sorted(f.value for f in Family)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -81,7 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_theta = sub.add_parser("theta", help="export a prime coprime graph")
-    p_theta.add_argument("family", choices=sorted(_FAMILIES))
+    p_theta.add_argument("family", choices=_FAMILY_NAMES)
     p_theta.add_argument("n", type=int)
     p_theta.add_argument("--format", choices=("dot", "json"), default="dot")
     p_theta.add_argument("-o", "--output", default=None, help="write here instead of stdout")
@@ -89,16 +52,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_query = sub.add_parser("query", help="closed-form queries")
     p_query.add_argument("what", choices=("clique", "degree", "hamiltonian", "decompose"))
-    p_query.add_argument("family", choices=sorted(_FAMILIES))
+    p_query.add_argument("family", choices=_FAMILY_NAMES)
     p_query.add_argument("n", type=int)
     p_query.add_argument("element", nargs="?", default=None,
                          help="element label (degree queries only), e.g. g6, r3, s0, a5, a2b")
 
     p_verify = sub.add_parser("verify", help="sweep a claim against its oracle")
-    p_verify.add_argument("claim", help="one of: " + ", ".join(sorted(_DEFAULT_RANGES)))
+    p_verify.add_argument("claim", help="one of: " + ", ".join(sorted(ver.CLAIMS)))
     p_verify.add_argument("range", nargs="?", default=None,
                           help="A..B over n, or A..B-by-group-order")
-    p_verify.add_argument("--family", choices=("all", "cyclic", "dihedral", "dicyclic"),
+    p_verify.add_argument("--family", choices=("all", *_FAMILY_NAMES),
                           default="all", help="restrict family-spanning claims")
     p_verify.add_argument("--report", default=None, help="write a JSONL report here")
     p_verify.add_argument("--clique-budget", type=int, default=DEFAULT_CLIQUE_BUDGET)
@@ -108,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_theta(args: argparse.Namespace) -> int:
-    group = GroupSpec(_FAMILIES[args.family], args.n)
+    group = GroupSpec(Family(args.family), args.n)
     graph = build_theta(group, args.vertex_cap)
     if args.format == "dot":
         text = graph_to_dot(graph)
@@ -122,15 +85,9 @@ def _cmd_theta(args: argparse.Namespace) -> int:
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    family = _FAMILIES[args.family]
-    group = GroupSpec(family, args.n)
+    group = GroupSpec(Family(args.family), args.n)
     if args.what == "clique":
-        value = {
-            Family.CYCLIC: clique_cyclic,
-            Family.DIHEDRAL: clique_dihedral,
-            Family.DICYCLIC: clique_dicyclic,
-        }[family](args.n)
-        print(value)
+        print(clique_number(group))
         return EXIT_OK
     if args.what == "degree":
         if args.element is None:
@@ -138,14 +95,9 @@ def _cmd_query(args: argparse.Namespace) -> int:
         print(theta_degree(group, parse_element(args.element)))
         return EXIT_OK
     if args.what == "hamiltonian":
-        value = {
-            Family.CYCLIC: is_hamiltonian_cyclic,
-            Family.DIHEDRAL: is_hamiltonian_dihedral,
-            Family.DICYCLIC: is_hamiltonian_dicyclic,
-        }[family](args.n)
-        print("true" if value else "false")
+        print("true" if is_hamiltonian(group) else "false")
         return EXIT_OK
-    entry = decomposition_catalog(family, args.n)
+    entry = decomposition_catalog(group.family, args.n)
     if entry is None:
         print("not covered")
         return EXIT_OK
@@ -164,9 +116,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _parse_range(text: str | None, claim: str) -> tuple[int, int, bool]:
-    if text is None:
-        return _DEFAULT_RANGES[claim]
+def _parse_range(text: str) -> tuple[int, int, bool]:
     m = re.fullmatch(r"(\d+)\.\.(\d+)(-by-group-order)?", text)
     if m is None:
         raise ValueError(f"cannot parse range {text!r}; expected A..B")
@@ -176,53 +126,14 @@ def _parse_range(text: str | None, claim: str) -> tuple[int, int, bool]:
     return lo, hi, m.group(3) is not None
 
 
-def _selected_families(args: argparse.Namespace) -> list[Family]:
-    if args.family == "all":
-        return [Family.CYCLIC, Family.DIHEDRAL, Family.DICYCLIC]
-    return [_FAMILIES[args.family]]
-
-
-def _run_claim(args: argparse.Namespace) -> list[ver.ClaimRecord]:
-    claim = args.claim
-    if claim not in _DEFAULT_RANGES:
-        raise ValueError(f"unknown claim {claim!r}")
-    lo, hi, by_order = _parse_range(args.range, claim)
-    cap = args.vertex_cap
-    if claim == "phi-sum":
-        return ver.run_phi_sum(lo, hi)
-    if claim == "dominating-set":
-        records = []
-        for family in _selected_families(args):
-            records.extend(ver.run_dominating_set(family, lo, hi, by_order, cap))
-        return records
-    if claim == "epo-complete":
-        records = []
-        for family in _selected_families(args):
-            records.extend(ver.run_epo_complete(family, lo, hi, by_order, cap))
-        return records
-    if claim.startswith("clique-"):
-        family = _FAMILIES[claim.removeprefix("clique-")]
-        return ver.run_clique(family, lo, hi, args.clique_budget, cap)
-    if claim.startswith("degree-"):
-        family = _FAMILIES[claim.removeprefix("degree-")]
-        return ver.run_degree(family, lo, hi, cap)
-    if claim.startswith("ham-cut-"):
-        family = _FAMILIES[claim.removeprefix("ham-cut-")]
-        return ver.run_ham_cut(family, lo, hi, cap)
-    if claim.startswith("ham-"):
-        family = _FAMILIES[claim.removeprefix("ham-")]
-        return ver.run_ham(family, lo, hi, args.ham_budget, cap)
-    if claim.startswith("decomp-"):
-        which = claim.removeprefix("decomp-")
-        families = _selected_families(args) if which == "all" else [_FAMILIES[which]]
-        return ver.run_decomp(families, lo, hi, by_order, cap)
-    if claim == "dihedral-join":
-        return ver.run_join_equality(Family.DIHEDRAL, lo, hi, cap)
-    return ver.run_join_equality(Family.DICYCLIC, lo, hi, cap)
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
-    records = _run_claim(args)
+    claim = ver.CLAIMS.get(args.claim)
+    if claim is None:
+        raise ValueError(f"unknown claim {args.claim!r}")
+    lo, hi, by_order = claim.default if args.range is None else _parse_range(args.range)
+    families = None if args.family == "all" else [Family(args.family)]
+    limits = ver.Limits(args.clique_budget, args.ham_budget, args.vertex_cap)
+    records = claim.run(lo, hi, by_order, families, limits)
     ver.sort_records(records)
     if args.report is not None:
         Path(args.report).write_text(ver.jsonl(records))
@@ -246,7 +157,7 @@ def main(argv: list[str] | None = None) -> int:
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -35,6 +35,7 @@ __all__ = [
     "clique_cyclic",
     "clique_dihedral",
     "clique_dicyclic",
+    "clique_number",
     "degree_cyclic",
     "degree_dihedral",
     "degree_dicyclic",
@@ -43,6 +44,7 @@ __all__ = [
     "is_hamiltonian_cyclic",
     "is_hamiltonian_dihedral",
     "is_hamiltonian_dicyclic",
+    "is_hamiltonian",
     "DecompositionEntry",
     "decomposition_catalog",
     "catalog_partition",
@@ -81,6 +83,15 @@ def clique_dicyclic(n: int) -> int:
     if n < 2:
         raise ValueError(f"clique_dicyclic needs n >= 2, got {n}")
     return clique_cyclic(2 * n) + (1 if n % 2 == 1 else 0)
+
+
+def clique_number(group: GroupSpec) -> int:
+    """Clique number of the group's graph, by its family's closed form."""
+    if group.family is Family.CYCLIC:
+        return clique_cyclic(group.n)
+    if group.family is Family.DIHEDRAL:
+        return clique_dihedral(group.n)
+    return clique_dicyclic(group.n)
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +271,15 @@ def is_hamiltonian_dicyclic(n: int) -> bool:
     if n < 2:
         raise ValueError(f"dicyclic groups need n >= 2, got {n}")
     return n % 2 == 1
+
+
+def is_hamiltonian(group: GroupSpec) -> bool:
+    """Whether the group's graph is Hamiltonian, by its family's closed form."""
+    if group.family is Family.CYCLIC:
+        return is_hamiltonian_cyclic(group.n)
+    if group.family is Family.DIHEDRAL:
+        return is_hamiltonian_dihedral(group.n)
+    return is_hamiltonian_dicyclic(group.n)
 
 
 # ---------------------------------------------------------------------------

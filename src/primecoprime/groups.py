@@ -43,9 +43,19 @@ __all__ = [
 
 
 class Family(Enum):
-    CYCLIC = "cyclic"
-    DIHEDRAL = "dihedral"
-    DICYCLIC = "dicyclic"
+    """A group family: its name (the value, as the CLI spells it), the least
+    n it is defined for, and the group order per unit of n."""
+
+    CYCLIC = ("cyclic", 1, 1)
+    DIHEDRAL = ("dihedral", 3, 2)
+    DICYCLIC = ("dicyclic", 2, 4)
+
+    def __new__(cls, value: str, min_n: int, order_factor: int) -> Family:
+        member = object.__new__(cls)
+        member._value_ = value
+        member.min_n = min_n
+        member.order_factor = order_factor
+        return member
 
 
 # kind -> family that owns it
@@ -102,20 +112,14 @@ class GroupSpec:
     n: int
 
     def __post_init__(self) -> None:
-        if self.family is Family.CYCLIC and self.n < 1:
-            raise ValueError(f"cyclic groups need n >= 1, got {self.n}")
-        if self.family is Family.DIHEDRAL and self.n < 3:
-            raise ValueError(f"dihedral groups need n >= 3, got {self.n}")
-        if self.family is Family.DICYCLIC and self.n < 2:
-            raise ValueError(f"dicyclic groups need n >= 2, got {self.n}")
+        if self.n < self.family.min_n:
+            raise ValueError(
+                f"{self.family.value} groups need n >= {self.family.min_n}, got {self.n}"
+            )
 
     @property
     def order(self) -> int:
-        if self.family is Family.CYCLIC:
-            return self.n
-        if self.family is Family.DIHEDRAL:
-            return 2 * self.n
-        return 4 * self.n
+        return self.family.order_factor * self.n
 
     def __str__(self) -> str:
         return f"{self.family.value}(n={self.n})"
@@ -135,16 +139,7 @@ def dicyclic(n: int) -> GroupSpec:
 
 def elements(group: GroupSpec) -> list[GroupElement]:
     """All elements in canonical order (see module docstring)."""
-    n = group.n
-    if group.family is Family.CYCLIC:
-        return [GroupElement("g", i) for i in range(n)]
-    if group.family is Family.DIHEDRAL:
-        return [GroupElement("r", i) for i in range(n)] + [
-            GroupElement("s", i) for i in range(n)
-        ]
-    return [GroupElement("a", i) for i in range(2 * n)] + [
-        GroupElement("ab", i) for i in range(2 * n)
-    ]
+    return [element_at(group, i) for i in range(group.order)]
 
 
 def element_labels(group: GroupSpec) -> list[str]:
@@ -161,12 +156,7 @@ def element_labels(group: GroupSpec) -> list[str]:
 def _check_membership(group: GroupSpec, element: GroupElement) -> None:
     if _KIND_FAMILY[element.kind] is not group.family:
         raise ValueError(f"element {element} does not belong to a {group.family.value} group")
-    if group.family is Family.CYCLIC:
-        limit = group.n
-    elif group.family is Family.DIHEDRAL:
-        limit = group.n
-    else:
-        limit = 2 * group.n
+    limit = 2 * group.n if group.family is Family.DICYCLIC else group.n
     if element.index >= limit:
         raise ValueError(f"element {element} out of range for {group}")
 
@@ -199,9 +189,7 @@ def element_order(group: GroupSpec, element: GroupElement) -> int:
     """Order of the element, by closed form."""
     _check_membership(group, element)
     n = group.n
-    if element.kind == "g":
-        return n // math.gcd(n, element.index)
-    if element.kind == "r":
+    if element.kind in ("g", "r"):
         return n // math.gcd(n, element.index)
     if element.kind == "s":
         return 2

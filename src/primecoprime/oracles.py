@@ -12,14 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .groups import GroupSpec, is_epo
 from .pcgraph import (
-    DEFAULT_VERTEX_CAP,
     SimpleGraph,
-    build_theta,
     component_count,
     delete_vertices,
-    is_complete,
     validate_partition,
 )
 
@@ -36,7 +32,6 @@ __all__ = [
     "dirac_check",
     "dominating_vertices",
     "kl_partition_check",
-    "is_epo_equiv_complete",
 ]
 
 DEFAULT_CLIQUE_BUDGET = 100_000_000
@@ -388,12 +383,3 @@ def kl_partition_check(graph: SimpleGraph, partition, k: int, l: int) -> bool:
             if nbrs[u] & members:
                 return False
     return True
-
-
-def is_epo_equiv_complete(
-    group: GroupSpec, vertex_cap: int = DEFAULT_VERTEX_CAP
-) -> bool:
-    """True iff having only identity/prime element orders coincides with the
-    prime coprime graph being complete."""
-    graph = build_theta(group, vertex_cap)
-    return is_epo(group) == is_complete(graph)

@@ -9,6 +9,7 @@ reports; the ms field is kept at zero for that reason.
 from __future__ import annotations
 
 import json
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from . import closedforms as cf
@@ -33,6 +34,9 @@ from .pcgraph import (
 )
 
 __all__ = [
+    "CLAIMS",
+    "Claim",
+    "Limits",
     "ClaimRecord",
     "sort_records",
     "jsonl",
@@ -49,8 +53,10 @@ __all__ = [
 ]
 
 _FAMILY_LETTER = {Family.CYCLIC: "Z", Family.DIHEDRAL: "D", Family.DICYCLIC: "Q"}
-_FAMILY_MIN = {Family.CYCLIC: 1, Family.DIHEDRAL: 3, Family.DICYCLIC: 2}
-_ORDER_FACTOR = {Family.CYCLIC: 1, Family.DIHEDRAL: 2, Family.DICYCLIC: 4}
+# names of the claims that are not one per family; the records use them too
+_PHI_SUM = "phi-sum"
+_DOMINATING_SET = "dominating-set"
+_EPO_COMPLETE = "epo-complete"
 
 
 @dataclass
@@ -118,10 +124,10 @@ def summary_table(records: list[ClaimRecord]) -> str:
 
 def _family_values(family: Family, lo: int, hi: int, by_order: bool) -> list[int]:
     """Parameter values to sweep; by_order reads lo..hi as group order bounds."""
-    start = _FAMILY_MIN[family]
+    start = family.min_n
     if not by_order:
         return list(range(max(lo, start), hi + 1))
-    factor = _ORDER_FACTOR[family]
+    factor = family.order_factor
     return [n for n in range(start, hi // factor + 1) if lo <= factor * n <= hi]
 
 
@@ -154,7 +160,7 @@ def run_phi_sum(lo: int = 2, hi: int = 100000) -> list[ClaimRecord]:
             total += value
         ok = formula == total == n
         records.append(
-            ClaimRecord("phi-sum", "-", n, None, formula, total, _verdict(ok))
+            ClaimRecord(_PHI_SUM, "-", n, None, formula, total, _verdict(ok))
         )
     return records
 
@@ -179,7 +185,7 @@ def run_dominating_set(
             certificate = f"expected {len(expected)} dominating vertices, graph has {len(got)}"
         records.append(
             ClaimRecord(
-                "dominating-set",
+                _DOMINATING_SET,
                 family.value,
                 n,
                 None,
@@ -207,18 +213,10 @@ def run_epo_complete(
         comp = is_complete(build_theta(group, vertex_cap))
         records.append(
             ClaimRecord(
-                "epo-complete", family.value, n, None, epo, comp, _verdict(epo == comp)
+                _EPO_COMPLETE, family.value, n, None, epo, comp, _verdict(epo == comp)
             )
         )
     return records
-
-
-def _clique_formula(family: Family, n: int) -> int:
-    if family is Family.CYCLIC:
-        return cf.clique_cyclic(n)
-    if family is Family.DIHEDRAL:
-        return cf.clique_dihedral(n)
-    return cf.clique_dicyclic(n)
 
 
 def run_clique(
@@ -227,15 +225,17 @@ def run_clique(
     hi: int,
     node_budget: int = oracles.DEFAULT_CLIQUE_BUDGET,
     vertex_cap: int = DEFAULT_VERTEX_CAP,
+    by_order: bool = False,
 ) -> list[ClaimRecord]:
     """Closed-form clique number == exact search on the graph."""
     claim = f"clique-{family.value}"
     records = []
-    for n in _family_values(family, lo, hi, False):
+    for n in _family_values(family, lo, hi, by_order):
         if family is Family.CYCLIC and n < 2:
             continue
-        formula = _clique_formula(family, n)
-        theta = build_theta(GroupSpec(family, n), vertex_cap)
+        group = GroupSpec(family, n)
+        formula = cf.clique_number(group)
+        theta = build_theta(group, vertex_cap)
         try:
             result = oracles.max_clique(theta, node_budget)
         except oracles.BudgetExceededError:
@@ -263,6 +263,7 @@ def run_degree(
     hi: int,
     vertex_cap: int = DEFAULT_VERTEX_CAP,
     per_element: bool = True,
+    by_order: bool = False,
 ) -> list[ClaimRecord]:
     """Closed-form degree == neighbor count, for every element.
 
@@ -272,7 +273,7 @@ def run_degree(
     """
     claim = f"degree-{family.value}"
     records = []
-    for n in _family_values(family, lo, hi, False):
+    for n in _family_values(family, lo, hi, by_order):
         group = GroupSpec(family, n)
         theta = build_theta(group, vertex_cap)
         formulas = cf.theta_degrees(group)
@@ -304,28 +305,21 @@ def run_degree(
     return records
 
 
-def _ham_formula(family: Family, n: int) -> bool:
-    if family is Family.CYCLIC:
-        return cf.is_hamiltonian_cyclic(n)
-    if family is Family.DIHEDRAL:
-        return cf.is_hamiltonian_dihedral(n)
-    return cf.is_hamiltonian_dicyclic(n)
-
-
 def run_ham(
     family: Family,
     lo: int,
     hi: int,
     ham_budget: int = oracles.DEFAULT_HAM_BUDGET,
     vertex_cap: int = DEFAULT_VERTEX_CAP,
+    by_order: bool = False,
 ) -> list[ClaimRecord]:
     """Hamiltonicity characterization against search (cyclic, dicyclic) or
     the minimum-degree bound (dihedral, where it always applies)."""
     claim = f"ham-{family.value}"
     records = []
-    for n in _family_values(family, lo, hi, False):
+    for n in _family_values(family, lo, hi, by_order):
         group = GroupSpec(family, n)
-        formula = _ham_formula(family, n)
+        formula = cf.is_hamiltonian(group)
         theta = build_theta(group, vertex_cap)
         if family is Family.DIHEDRAL:
             bound = oracles.dirac_check(theta)
@@ -369,15 +363,16 @@ def run_ham_cut(
     lo: int,
     hi: int,
     vertex_cap: int = DEFAULT_VERTEX_CAP,
+    by_order: bool = False,
 ) -> list[ClaimRecord]:
     """For parameters predicted non-Hamiltonian, removing the dominating
     order-1-or-prime elements must leave more components than its size."""
     claim = f"ham-cut-{family.value}"
     records = []
-    for n in _family_values(family, lo, hi, False):
-        if _ham_formula(family, n):
-            continue
+    for n in _family_values(family, lo, hi, by_order):
         group = GroupSpec(family, n)
+        if cf.is_hamiltonian(group):
+            continue
         cut = s_indices(group)
         if len(cut) == 0 or len(cut) >= group.order:
             continue  # no usable cut (tiny groups where every order is prime)
@@ -442,33 +437,123 @@ def run_join_equality(
     lo: int,
     hi: int,
     vertex_cap: int = DEFAULT_VERTEX_CAP,
+    by_order: bool = False,
 ) -> list[ClaimRecord]:
     """Graph-level identities: D_n equals Z_n joined with a complete block of
     reflections; odd Q_n equals Z_2n joined with an independent block."""
+    if family is Family.CYCLIC:
+        raise ValueError("join equality claims exist for dihedral and dicyclic only")
     records = []
-    if family is Family.DIHEDRAL:
-        claim = "dihedral-join"
-        for n in _family_values(family, lo, hi, False):
-            left = build_theta(GroupSpec(family, n), vertex_cap)
+    for n in _family_values(family, lo, hi, by_order):
+        if family is Family.DICYCLIC and n % 2 == 0:
+            continue
+        left = build_theta(GroupSpec(family, n), vertex_cap)
+        if family is Family.DIHEDRAL:
             right = join(build_theta(GroupSpec(Family.CYCLIC, n), vertex_cap), complete(n))
-            ok = left == right
-            records.append(
-                ClaimRecord(claim, family.value, n, None, True, ok, _verdict(ok))
-            )
-        return records
-    if family is Family.DICYCLIC:
-        claim = "dicyclic-join"
-        for n in _family_values(family, lo, hi, False):
-            if n % 2 == 0:
-                continue
-            left = build_theta(GroupSpec(family, n), vertex_cap)
+        else:
             right = join(
                 build_theta(GroupSpec(Family.CYCLIC, 2 * n), vertex_cap),
                 empty_graph(2 * n),
             )
-            ok = left == right
-            records.append(
-                ClaimRecord(claim, family.value, n, None, True, ok, _verdict(ok))
-            )
-        return records
-    raise ValueError("join equality claims exist for dihedral and dicyclic only")
+        ok = left == right
+        records.append(
+            ClaimRecord(f"{family.value}-join", family.value, n, None, True, ok, _verdict(ok))
+        )
+    return records
+
+
+# ---------------------------------------------------------------------------
+# the claim table
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Limits:
+    """Search budgets and vertex cap that a claim's sweep runs under."""
+
+    clique_budget: int = oracles.DEFAULT_CLIQUE_BUDGET
+    ham_budget: int = oracles.DEFAULT_HAM_BUDGET
+    vertex_cap: int = DEFAULT_VERTEX_CAP
+
+
+@dataclass(frozen=True)
+class Claim:
+    """One claim `pcg verify` can check: the families it covers (none when
+    it concerns no group), its default range as (lo, hi, by_order), and
+    sweep(family, lo, hi, by_order, limits), which checks one family, or
+    runs once with family None when the claim covers none."""
+
+    name: str
+    families: tuple[Family, ...]
+    default: tuple[int, int, bool]
+    sweep: Callable[..., list[ClaimRecord]]
+
+    def run(
+        self, lo: int, hi: int, by_order: bool = False,
+        families: list[Family] | None = None, limits: Limits = Limits(),
+    ) -> list[ClaimRecord]:
+        """Unsorted records over lo..hi (group orders when by_order) for the
+        given families, by default every family the claim covers."""
+        chosen = tuple(families or self.families)
+        outside = [f.value for f in chosen if f not in self.families]
+        if outside:
+            raise ValueError(f"claim {self.name} does not cover the {outside[0]} family")
+        return [r for f in chosen or (None,) for r in self.sweep(f, lo, hi, by_order, limits)]
+
+
+def _budgetless(run: Callable[..., list[ClaimRecord]]) -> Callable[..., list[ClaimRecord]]:
+    """The sweep of a run_* that takes by_order and vertex_cap but no budget."""
+
+    def sweep(family, lo, hi, by_order, limits):
+        return run(family, lo, hi, by_order=by_order, vertex_cap=limits.vertex_cap)
+
+    return sweep
+
+
+def _phi_sum(family, lo, hi, by_order, limits):
+    if by_order:
+        raise ValueError(f"claim {_PHI_SUM} ranges over n only; it has no group order")
+    return run_phi_sum(lo, hi)
+
+
+def _clique(family, lo, hi, by_order, limits):
+    return run_clique(family, lo, hi, limits.clique_budget, limits.vertex_cap, by_order)
+
+
+def _ham(family, lo, hi, by_order, limits):
+    return run_ham(family, lo, hi, limits.ham_budget, limits.vertex_cap, by_order)
+
+
+def _decomp(family, lo, hi, by_order, limits):
+    return run_decomp([family], lo, hi, by_order, limits.vertex_cap)
+
+
+_CYC, _DIH, _DIC = Family
+_EVERY = (_CYC, _DIH, _DIC)
+
+# claim name -> Claim, for every claim `pcg verify` checks
+CLAIMS: dict[str, Claim] = {
+    claim.name: claim
+    for claim in (
+        Claim(_PHI_SUM, (), (2, 100000, False), _phi_sum),
+        Claim(_DOMINATING_SET, _EVERY, (1, 400, True), _budgetless(run_dominating_set)),
+        Claim(_EPO_COMPLETE, _EVERY, (1, 400, True), _budgetless(run_epo_complete)),
+        Claim("clique-cyclic", (_CYC,), (2, 100, False), _clique),
+        Claim("clique-dihedral", (_DIH,), (3, 50, False), _clique),
+        Claim("clique-dicyclic", (_DIC,), (2, 50, False), _clique),
+        Claim("degree-cyclic", (_CYC,), (2, 100, False), _budgetless(run_degree)),
+        Claim("degree-dihedral", (_DIH,), (3, 60, False), _budgetless(run_degree)),
+        Claim("degree-dicyclic", (_DIC,), (2, 50, False), _budgetless(run_degree)),
+        Claim("ham-cyclic", (_CYC,), (3, 60, False), _ham),
+        Claim("ham-dihedral", (_DIH,), (3, 200, False), _ham),
+        Claim("ham-dicyclic", (_DIC,), (2, 30, False), _ham),
+        Claim("ham-cut-cyclic", (_CYC,), (3, 200, False), _budgetless(run_ham_cut)),
+        Claim("ham-cut-dicyclic", (_DIC,), (2, 100, False), _budgetless(run_ham_cut)),
+        Claim("decomp-all", _EVERY, (1, 600, True), _decomp),
+        Claim("decomp-cyclic", (_CYC,), (1, 600, True), _decomp),
+        Claim("decomp-dihedral", (_DIH,), (1, 600, True), _decomp),
+        Claim("decomp-dicyclic", (_DIC,), (1, 600, True), _decomp),
+        Claim("dihedral-join", (_DIH,), (3, 100, False), _budgetless(run_join_equality)),
+        Claim("dicyclic-join", (_DIC,), (3, 99, False), _budgetless(run_join_equality)),
+    )
+}

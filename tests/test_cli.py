@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import pytest
 
 import primecoprime
 from primecoprime import cli
+from primecoprime import verification as ver
 
 Z4_DOT = (
     "graph theta {\n"
@@ -60,6 +62,15 @@ def test_theta_output_file(tmp_path, capsys):
     code, out, err = run(capsys, "theta", "cyclic", "4", "-o", str(target))
     assert code == 0 and out == ""
     assert target.read_text() == Z4_DOT
+
+
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
+    target = str(tmp_path / "missing" / "out")
+    for argv in (("theta", "cyclic", "3", "-o", target),
+                 ("verify", "phi-sum", "2..5", "--report", target)):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert err.startswith("error:") and "Traceback" not in err, argv
 
 
 def test_theta_capacity_exit(capsys):
@@ -161,10 +172,15 @@ def test_verify_report_is_deterministic(tmp_path, capsys):
         assert record["certificate"].startswith("witness:")
 
 
-def test_verify_by_group_order_range(capsys):
+def test_verify_by_group_order_range(tmp_path, capsys):
     code, out, err = run(capsys, "verify", "dominating-set", "1..40-by-group-order")
     assert code == 0
     assert "dominating-set" in out
+    report = tmp_path / "d.jsonl"
+    code, out, err = run(capsys, "verify", "clique-dihedral", "3..10-by-group-order",
+                         "--report", str(report))
+    assert code == 0
+    assert [json.loads(line)["n"] for line in report.read_text().splitlines()] == [3, 4, 5]
 
 
 def test_verify_family_restriction(capsys):
@@ -172,6 +188,14 @@ def test_verify_family_restriction(capsys):
                          "--family", "dicyclic")
     assert code == 0
     assert "cyclic" not in out.replace("dicyclic", "")
+
+
+def test_verify_family_outside_claim(capsys):
+    for claim, family in (("dihedral-join", "cyclic"), ("clique-cyclic", "dicyclic"),
+                          ("phi-sum", "cyclic")):
+        code, out, err = run(capsys, "verify", claim, "--family", family)
+        assert code == 2, claim
+        assert err.startswith("error:") and family in err, claim
 
 
 def test_verify_ham_and_decomp(capsys):
@@ -187,6 +211,8 @@ def test_verify_unknown_claim(capsys):
 def test_verify_bad_ranges(capsys):
     assert run(capsys, "verify", "phi-sum", "5..x")[0] == 2
     assert run(capsys, "verify", "phi-sum", "9..3")[0] == 2
+    code, out, err = run(capsys, "verify", "phi-sum", "2..10-by-group-order")
+    assert code == 2 and err.startswith("error:")
 
 
 def test_verify_inconclusive_exit(capsys):
@@ -201,6 +227,25 @@ def test_verify_failure_exit(capsys, monkeypatch):
     code, out, err = run(capsys, "verify", "clique-cyclic", "5..8")
     assert code == 1
     assert "FAIL:" in out
+
+
+@pytest.mark.parametrize("name", sorted(ver.CLAIMS))
+def test_every_claim_runs(name, tmp_path, capsys):
+    lo, _, by_order = ver.CLAIMS[name].default
+    span = f"{lo}..{lo + 9}" + ("-by-group-order" if by_order else "")
+    report = tmp_path / "r.jsonl"
+    code, out, err = run(capsys, "verify", name, span, "--report", str(report))
+    assert (code, err) == (0, "")
+    assert report.read_text()
+
+
+def test_verify_help_lists_every_claim(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "1000")  # keep the claim list on one line
+    with pytest.raises(SystemExit) as info:
+        cli.main(["verify", "-h"])
+    assert info.value.code == 0
+    listed = re.search(r"one of: (.*)", capsys.readouterr().out).group(1)
+    assert sorted(listed.split(", ")) == sorted(ver.CLAIMS)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from primecoprime.oracles import (
     dirac_check,
     dominating_vertices,
     hamiltonian_search,
-    is_epo_equiv_complete,
     kl_partition_check,
     max_clique,
 )
@@ -26,6 +25,7 @@ from primecoprime.pcgraph import (
     from_edges,
     join,
 )
+from primecoprime.verification import run_epo_complete
 from conftest import assert_valid_cycle, brute_hamiltonian, brute_max_clique
 
 
@@ -192,4 +192,5 @@ def test_kl_partition_check():
 
 def test_epo_equivalence_spot_checks():
     for group in (cyclic(6), cyclic(8), dihedral(4), dihedral(7), dicyclic(2)):
-        assert is_epo_equiv_complete(group)
+        (record,) = run_epo_complete(group.family, group.n, group.n)
+        assert record.verdict == "pass"
