@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 from . import verification as ver
@@ -133,10 +134,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     lo, hi, by_order = claim.default if args.range is None else _parse_range(args.range)
     families = None if args.family == "all" else [Family(args.family)]
     limits = ver.Limits(args.clique_budget, args.ham_budget, args.vertex_cap)
-    records = claim.run(lo, hi, by_order, families, limits)
-    ver.sort_records(records)
-    if args.report is not None:
-        Path(args.report).write_text(ver.jsonl(records))
+    # open the report first, so an unwritable path fails before the sweep
+    with open(args.report, "w") if args.report is not None else nullcontext() as report:
+        records = claim.run(lo, hi, by_order, families, limits)
+        if not records:
+            span = f"{lo}..{hi}" + ("-by-group-order" if by_order else "")
+            raise ValueError(f"claim {claim.name} checks no group in {span}")
+        ver.sort_records(records)
+        if report is not None:
+            report.write(ver.jsonl(records))
     sys.stdout.write(ver.summary_table(records))
     if any(r.verdict == "fail" for r in records):
         return EXIT_FAIL

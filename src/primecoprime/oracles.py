@@ -96,37 +96,57 @@ def _greedy_color_order(cand: int, adj: list[int]) -> tuple[list[int], list[int]
     return order, bound
 
 
-def _max_size(adj: list[int], cand: int, size: int, best: int, budget: _Budget) -> int:
+def _max_size(adj: list[int], cand: int, budget: _Budget) -> int:
+    """Clique number of the subgraph on cand.  Depth-first over the colour
+    order, highest colour first; the parent frames wait on an explicit stack,
+    so the depth is not limited by the interpreter's recursion limit."""
+    best = size = 0
+    stack: list[tuple[list[int], list[int], int, int, int]] = []
     order, bound = _greedy_color_order(cand, adj)
-    for i in range(len(order) - 1, -1, -1):
-        if size + bound[i] <= best:
-            return best
+    i = len(order) - 1
+    while True:
+        if i < 0 or size + bound[i] <= best:
+            if not stack:
+                return best
+            order, bound, i, cand, size = stack.pop()
+            continue
         budget.spend()
         v = order[i]
         sub = cand & adj[v]
+        i -= 1
+        cand &= ~(1 << v)
         if sub:
-            best = _max_size(adj, sub, size + 1, best, budget)
+            stack.append((order, bound, i, cand, size))
+            order, bound = _greedy_color_order(sub, adj)
+            i, cand, size = len(order) - 1, sub, size + 1
         elif size + 1 > best:
             best = size + 1
-        cand &= ~(1 << v)
-    return best
 
 
 def _exists_clique(adj: list[int], cand: int, k: int, budget: _Budget) -> bool:
+    """True iff cand holds a k-clique; the same search order as _max_size,
+    stopping at the first clique found."""
     if k <= 0:
         return True
+    stack: list[tuple[list[int], list[int], int, int, int]] = []
     order, bound = _greedy_color_order(cand, adj)
-    if not order or bound[-1] < k:
-        return False
-    for i in range(len(order) - 1, -1, -1):
-        if bound[i] < k:
-            return False
+    i = len(order) - 1
+    while True:
+        if i < 0 or bound[i] < k:
+            if not stack:
+                return False
+            order, bound, i, cand, k = stack.pop()
+            continue
         budget.spend()
         v = order[i]
-        if _exists_clique(adj, cand & adj[v], k - 1, budget):
+        if k == 1:
             return True
+        sub = cand & adj[v]
+        i -= 1
         cand &= ~(1 << v)
-    return False
+        stack.append((order, bound, i, cand, k))
+        order, bound = _greedy_color_order(sub, adj)
+        i, cand, k = len(order) - 1, sub, k - 1
 
 
 def max_clique(
@@ -144,7 +164,7 @@ def max_clique(
     adj = _bitmasks(graph)
     budget = _Budget(node_budget)
     full = (1 << n) - 1
-    best = _max_size(adj, full, 0, 0, budget)
+    best = _max_size(adj, full, budget)
     witness: list[int] = []
     cand = full
     need = best

@@ -1,6 +1,12 @@
 """Verification sweeps: each claim pairs a closed form with an independent
 oracle and yields one record per checked instance.
 
+A family sweep is one loop, _sweep, over the family's parameters in a range;
+it builds each group once and collects the records of the claim's per-group
+check, which returns none for a group the claim does not speak about.  Every
+run_* family sweep ends in the same by_order=False, limits=Limits(), so the
+CLAIMS table names them directly.
+
 Records are sorted and serialized in a fixed order with no timestamps or
 randomness, so repeated runs of the same sweep produce byte-identical
 reports; the ms field is kept at zero for that reason.
@@ -131,8 +137,39 @@ def _family_values(family: Family, lo: int, hi: int, by_order: bool) -> list[int
     return [n for n in range(start, hi // factor + 1) if lo <= factor * n <= hi]
 
 
+def _sweep(check: Callable[[GroupSpec], list[ClaimRecord]], family: Family,
+           lo: int, hi: int, by_order: bool) -> list[ClaimRecord]:
+    """The records check(group) returns for each group of the family in
+    lo..hi (group orders when by_order), in ascending n; a check returns no
+    records for a group the claim does not speak about."""
+    return [
+        record
+        for n in _family_values(family, lo, hi, by_order)
+        for record in check(GroupSpec(family, n))
+    ]
+
+
 def _verdict(ok: bool) -> str:
     return "pass" if ok else "fail"
+
+
+def _csv(values) -> str:
+    return ",".join(str(v) for v in values)
+
+
+def _record(claim: str, group: GroupSpec, formula, oracle, verdict: str,
+            certificate: str | None = None, param: str | None = None) -> ClaimRecord:
+    return ClaimRecord(claim, group.family.value, group.n, param, formula, oracle,
+                       verdict, certificate)
+
+
+@dataclass(frozen=True)
+class Limits:
+    """Search budgets and vertex cap that a claim's sweep runs under."""
+
+    clique_budget: int = oracles.DEFAULT_CLIQUE_BUDGET
+    ham_budget: int = oracles.DEFAULT_HAM_BUDGET
+    vertex_cap: int = DEFAULT_VERTEX_CAP
 
 
 # ---------------------------------------------------------------------------
@@ -153,117 +190,66 @@ def run_phi_sum(lo: int = 2, hi: int = 100000) -> list[ClaimRecord]:
         formula = phi_sum_expansion(f)
         total = 0
         for d in _divisors_of(f):
-            value = cache.get(d)
-            if value is None:
-                value = euler_phi(d)
-                cache[d] = value
-            total += value
+            total += cache.get(d) or cache.setdefault(d, euler_phi(d))  # phi(d) >= 1
         ok = formula == total == n
-        records.append(
-            ClaimRecord(_PHI_SUM, "-", n, None, formula, total, _verdict(ok))
-        )
+        records.append(ClaimRecord(_PHI_SUM, "-", n, None, formula, total, _verdict(ok)))
     return records
 
 
 def run_dominating_set(
-    family: Family,
-    lo: int,
-    hi: int,
-    by_order: bool = False,
-    vertex_cap: int = DEFAULT_VERTEX_CAP,
+    family: Family, lo: int, hi: int, by_order: bool = False, limits: Limits = Limits()
 ) -> list[ClaimRecord]:
     """Dominating vertices of the graph == elements of order 1 or prime."""
-    records = []
-    for n in _family_values(family, lo, hi, by_order):
-        group = GroupSpec(family, n)
-        theta = build_theta(group, vertex_cap)
-        expected = s_indices(group)
-        got = oracles.dominating_vertices(theta)
-        ok = expected == got
-        certificate = None
-        if not ok:
-            certificate = f"expected {len(expected)} dominating vertices, graph has {len(got)}"
-        records.append(
-            ClaimRecord(
-                _DOMINATING_SET,
-                family.value,
-                n,
-                None,
-                len(expected),
-                len(got),
-                _verdict(ok),
-                certificate,
-            )
-        )
-    return records
+
+    def check(group: GroupSpec) -> list[ClaimRecord]:
+        want = s_indices(group)
+        got = oracles.dominating_vertices(build_theta(group, limits.vertex_cap))
+        ok = want == got
+        note = None if ok else f"expected {len(want)} dominating vertices, graph has {len(got)}"
+        return [_record(_DOMINATING_SET, group, len(want), len(got), _verdict(ok), note)]
+
+    return _sweep(check, family, lo, hi, by_order)
 
 
 def run_epo_complete(
-    family: Family,
-    lo: int,
-    hi: int,
-    by_order: bool = False,
-    vertex_cap: int = DEFAULT_VERTEX_CAP,
+    family: Family, lo: int, hi: int, by_order: bool = False, limits: Limits = Limits()
 ) -> list[ClaimRecord]:
     """Only identity/prime orders <=> the graph is complete."""
-    records = []
-    for n in _family_values(family, lo, hi, by_order):
-        group = GroupSpec(family, n)
+
+    def check(group: GroupSpec) -> list[ClaimRecord]:
         epo = is_epo(group)
-        comp = is_complete(build_theta(group, vertex_cap))
-        records.append(
-            ClaimRecord(
-                _EPO_COMPLETE, family.value, n, None, epo, comp, _verdict(epo == comp)
-            )
-        )
-    return records
+        comp = is_complete(build_theta(group, limits.vertex_cap))
+        return [_record(_EPO_COMPLETE, group, epo, comp, _verdict(epo == comp))]
+
+    return _sweep(check, family, lo, hi, by_order)
 
 
 def run_clique(
-    family: Family,
-    lo: int,
-    hi: int,
-    node_budget: int = oracles.DEFAULT_CLIQUE_BUDGET,
-    vertex_cap: int = DEFAULT_VERTEX_CAP,
-    by_order: bool = False,
+    family: Family, lo: int, hi: int, by_order: bool = False, limits: Limits = Limits()
 ) -> list[ClaimRecord]:
     """Closed-form clique number == exact search on the graph."""
     claim = f"clique-{family.value}"
-    records = []
-    for n in _family_values(family, lo, hi, by_order):
-        if family is Family.CYCLIC and n < 2:
-            continue
-        group = GroupSpec(family, n)
+
+    def check(group: GroupSpec) -> list[ClaimRecord]:
+        if group.n < 2:
+            return []  # the clique formula starts at Z_2
         formula = cf.clique_number(group)
-        theta = build_theta(group, vertex_cap)
+        theta = build_theta(group, limits.vertex_cap)
         try:
-            result = oracles.max_clique(theta, node_budget)
+            result = oracles.max_clique(theta, limits.clique_budget)
         except oracles.BudgetExceededError:
-            records.append(
-                ClaimRecord(
-                    claim, family.value, n, None, formula, "budget-exhausted",
-                    "inconclusive", f"node budget {node_budget} exhausted",
-                )
-            )
-            continue
+            note = f"node budget {limits.clique_budget} exhausted"
+            return [_record(claim, group, formula, "budget-exhausted", "inconclusive", note)]
         ok = formula == result.size
-        certificate = "witness:" + ",".join(str(v) for v in result.witness)
-        records.append(
-            ClaimRecord(
-                claim, family.value, n, None, formula, result.size, _verdict(ok),
-                certificate,
-            )
-        )
-    return records
+        witness = "witness:" + _csv(result.witness)
+        return [_record(claim, group, formula, result.size, _verdict(ok), witness)]
+
+    return _sweep(check, family, lo, hi, by_order)
 
 
 def run_degree(
-    family: Family,
-    lo: int,
-    hi: int,
-    vertex_cap: int = DEFAULT_VERTEX_CAP,
-    per_element: bool = True,
-    by_order: bool = False,
+    family: Family, lo: int, hi: int, per_element: bool = True,
+    by_order: bool = False, limits: Limits = Limits(),
 ) -> list[ClaimRecord]:
     """Closed-form degree == neighbor count, for every element.
 
@@ -272,194 +258,132 @@ def run_degree(
     single element to match.
     """
     claim = f"degree-{family.value}"
-    records = []
-    for n in _family_values(family, lo, hi, by_order):
-        group = GroupSpec(family, n)
-        theta = build_theta(group, vertex_cap)
+
+    def check(group: GroupSpec) -> list[ClaimRecord]:
+        theta = build_theta(group, limits.vertex_cap)
         formulas = cf.theta_degrees(group)
         oracle = [len(nbrs) for nbrs in theta.adjacency]
         checked = zip(theta.labels, formulas, oracle)
         if per_element:
-            for label, formula, got in checked:
-                records.append(
-                    ClaimRecord(
-                        claim, family.value, n, label, formula, got,
-                        _verdict(formula == got),
-                    )
-                )
-        else:
-            first_bad = next(
-                (
-                    f"first mismatch at {label}: {formula} != {got}"
-                    for label, formula, got in checked
-                    if formula != got
-                ),
-                None,
-            )
-            records.append(
-                ClaimRecord(
-                    claim, family.value, n, None, sum(formulas), sum(oracle),
-                    _verdict(first_bad is None), first_bad,
-                )
-            )
-    return records
+            return [
+                _record(claim, group, formula, got, _verdict(formula == got), param=label)
+                for label, formula, got in checked
+            ]
+        first_bad = next((f"first mismatch at {label}: {formula} != {got}"
+                          for label, formula, got in checked if formula != got), None)
+        ok = first_bad is None
+        return [_record(claim, group, sum(formulas), sum(oracle), _verdict(ok), first_bad)]
+
+    return _sweep(check, family, lo, hi, by_order)
 
 
 def run_ham(
-    family: Family,
-    lo: int,
-    hi: int,
-    ham_budget: int = oracles.DEFAULT_HAM_BUDGET,
-    vertex_cap: int = DEFAULT_VERTEX_CAP,
-    by_order: bool = False,
+    family: Family, lo: int, hi: int, by_order: bool = False, limits: Limits = Limits()
 ) -> list[ClaimRecord]:
     """Hamiltonicity characterization against search (cyclic, dicyclic) or
     the minimum-degree bound (dihedral, where it always applies)."""
     claim = f"ham-{family.value}"
-    records = []
-    for n in _family_values(family, lo, hi, by_order):
-        group = GroupSpec(family, n)
+
+    def check(group: GroupSpec) -> list[ClaimRecord]:
         formula = cf.is_hamiltonian(group)
-        theta = build_theta(group, vertex_cap)
+        theta = build_theta(group, limits.vertex_cap)
         if family is Family.DIHEDRAL:
-            bound = oracles.dirac_check(theta)
-            certificate = (
-                f"min-degree={theta.min_degree()},vertices={theta.vertex_count}"
-            )
-            records.append(
-                ClaimRecord(
-                    claim, family.value, n, None, formula, bound,
-                    _verdict(formula == bound), certificate,
-                )
-            )
-            continue
-        evidence = oracles.hamiltonian_search(theta, ham_budget)
-        if evidence.verdict is oracles.Verdict.INCONCLUSIVE:
-            records.append(
-                ClaimRecord(
-                    claim, family.value, n, None, formula, "inconclusive",
-                    "inconclusive", evidence.note,
-                )
-            )
-            continue
-        found = evidence.verdict is oracles.Verdict.HAMILTONIAN
-        if evidence.cycle is not None:
-            certificate = "cycle:" + ",".join(str(v) for v in evidence.cycle)
-        elif evidence.cut_set is not None:
-            certificate = "cut:" + ",".join(str(v) for v in evidence.cut_set)
+            found = oracles.dirac_check(theta)
+            certificate = f"min-degree={theta.min_degree()},vertices={theta.vertex_count}"
         else:
-            certificate = evidence.note
-        records.append(
-            ClaimRecord(
-                claim, family.value, n, None, formula, found,
-                _verdict(formula == found), certificate,
-            )
-        )
-    return records
+            evidence = oracles.hamiltonian_search(theta, limits.ham_budget)
+            if evidence.verdict is oracles.Verdict.INCONCLUSIVE:
+                return [
+                    _record(claim, group, formula, "inconclusive", "inconclusive", evidence.note)
+                ]
+            found = evidence.verdict is oracles.Verdict.HAMILTONIAN
+            if evidence.cycle is not None:
+                certificate = "cycle:" + _csv(evidence.cycle)
+            elif evidence.cut_set is not None:
+                certificate = "cut:" + _csv(evidence.cut_set)
+            else:
+                certificate = evidence.note
+        return [_record(claim, group, formula, found, _verdict(formula == found), certificate)]
+
+    return _sweep(check, family, lo, hi, by_order)
 
 
 def run_ham_cut(
-    family: Family,
-    lo: int,
-    hi: int,
-    vertex_cap: int = DEFAULT_VERTEX_CAP,
-    by_order: bool = False,
+    family: Family, lo: int, hi: int, by_order: bool = False, limits: Limits = Limits()
 ) -> list[ClaimRecord]:
     """For parameters predicted non-Hamiltonian, removing the dominating
     order-1-or-prime elements must leave more components than its size."""
     claim = f"ham-cut-{family.value}"
-    records = []
-    for n in _family_values(family, lo, hi, by_order):
-        group = GroupSpec(family, n)
+
+    def check(group: GroupSpec) -> list[ClaimRecord]:
         if cf.is_hamiltonian(group):
-            continue
+            return []
         cut = s_indices(group)
         if len(cut) == 0 or len(cut) >= group.order:
-            continue  # no usable cut (tiny groups where every order is prime)
-        theta = build_theta(group, vertex_cap)
-        ok = oracles.cut_witness_check(theta, cut)
+            return []  # no usable cut (tiny groups where every order is prime)
+        theta = build_theta(group, limits.vertex_cap)
         pieces = component_count(delete_vertices(theta, cut))
-        records.append(
-            ClaimRecord(
-                claim, family.value, n, None, True, ok, _verdict(ok),
-                f"cut-size={len(cut)},components={pieces}",
-            )
-        )
-    return records
+        ok = pieces > len(cut)
+        certificate = f"cut-size={len(cut)},components={pieces}"
+        return [_record(claim, group, True, ok, _verdict(ok), certificate)]
+
+    return _sweep(check, family, lo, hi, by_order)
 
 
 def run_decomp(
-    families: list[Family],
-    lo: int = 1,
-    hi: int = 600,
-    by_order: bool = True,
-    vertex_cap: int = DEFAULT_VERTEX_CAP,
+    families: list[Family], lo: int = 1, hi: int = 600,
+    by_order: bool = True, limits: Limits = Limits(),
 ) -> list[ClaimRecord]:
-    """Catalog entries must match the graph: H-join structure, part sizes,
+    """Catalog entries must match the graph: part sizes, H-join structure,
     and the clique/independent (k, l) split."""
-    records = []
-    for family in families:
-        for n in _family_values(family, lo, hi, by_order):
-            entry = cf.decomposition_catalog(family, n)
-            if entry is None:
-                continue
-            claim = f"decomp-{_FAMILY_LETTER[family]}-{entry.pattern}"
-            group = GroupSpec(family, n)
-            theta = build_theta(group, vertex_cap)
-            partition = cf.catalog_partition(entry)
-            structure = verify_hjoin_structure(theta, partition, entry.hjoin)
-            k, l = entry.kl
-            kl_ok = oracles.kl_partition_check(theta, partition, k, l)
-            sizes_ok = entry.hjoin.total_size == group.order
-            ok = bool(structure) and kl_ok and sizes_ok
-            if ok:
-                certificate = f"parts={entry.hjoin.describe()},kl=({k},{l})"
-            elif not structure:
-                certificate = (
-                    f"clause={structure.clause},parts={structure.parts},"
-                    f"pair={structure.vertex_pair}"
-                )
-            elif not kl_ok:
-                certificate = "kl-partition-check failed"
-            else:
-                certificate = "part sizes do not sum to the group order"
-            records.append(
-                ClaimRecord(
-                    claim, family.value, n, entry.pattern, True, ok, _verdict(ok),
-                    certificate,
-                )
-            )
-    return records
+
+    def check(group: GroupSpec) -> list[ClaimRecord]:
+        entry = cf.decomposition_catalog(group.family, group.n)
+        if entry is None:
+            return []  # the catalog does not cover this parameter shape
+        theta = build_theta(group, limits.vertex_cap)
+        partition = cf.catalog_partition(entry)
+        sizes = [part.size for part in entry.hjoin.parts]
+        counted = [len(part) for part in partition]
+        k, l = entry.kl
+        ok = False
+        if sizes != counted:
+            certificate = f"part sizes {_csv(sizes)} != element counts {_csv(counted)}"
+        elif not (structure := verify_hjoin_structure(theta, partition, entry.hjoin)):
+            certificate = (f"clause={structure.clause},parts={structure.parts},"
+                           f"pair={structure.vertex_pair}")
+        elif not oracles.kl_partition_check(theta, partition, k, l):
+            certificate = "kl-partition-check failed"
+        else:
+            ok, certificate = True, f"parts={entry.hjoin.describe()},kl=({k},{l})"
+        claim = f"decomp-{_FAMILY_LETTER[group.family]}-{entry.pattern}"
+        return [_record(claim, group, True, ok, _verdict(ok), certificate, entry.pattern)]
+
+    return [r for family in families for r in _sweep(check, family, lo, hi, by_order)]
 
 
 def run_join_equality(
-    family: Family,
-    lo: int,
-    hi: int,
-    vertex_cap: int = DEFAULT_VERTEX_CAP,
-    by_order: bool = False,
+    family: Family, lo: int, hi: int, by_order: bool = False, limits: Limits = Limits()
 ) -> list[ClaimRecord]:
     """Graph-level identities: D_n equals Z_n joined with a complete block of
     reflections; odd Q_n equals Z_2n joined with an independent block."""
     if family is Family.CYCLIC:
         raise ValueError("join equality claims exist for dihedral and dicyclic only")
-    records = []
-    for n in _family_values(family, lo, hi, by_order):
+    cap = limits.vertex_cap
+
+    def check(group: GroupSpec) -> list[ClaimRecord]:
+        n = group.n
         if family is Family.DICYCLIC and n % 2 == 0:
-            continue
-        left = build_theta(GroupSpec(family, n), vertex_cap)
+            return []  # the identity is stated for odd n only
+        left = build_theta(group, cap)
         if family is Family.DIHEDRAL:
-            right = join(build_theta(GroupSpec(Family.CYCLIC, n), vertex_cap), complete(n))
+            right = join(build_theta(GroupSpec(Family.CYCLIC, n), cap), complete(n))
         else:
-            right = join(
-                build_theta(GroupSpec(Family.CYCLIC, 2 * n), vertex_cap),
-                empty_graph(2 * n),
-            )
+            right = join(build_theta(GroupSpec(Family.CYCLIC, 2 * n), cap), empty_graph(2 * n))
         ok = left == right
-        records.append(
-            ClaimRecord(f"{family.value}-join", family.value, n, None, True, ok, _verdict(ok))
-        )
-    return records
+        return [_record(f"{family.value}-join", group, True, ok, _verdict(ok))]
+
+    return _sweep(check, family, lo, hi, by_order)
 
 
 # ---------------------------------------------------------------------------
@@ -468,20 +392,11 @@ def run_join_equality(
 
 
 @dataclass(frozen=True)
-class Limits:
-    """Search budgets and vertex cap that a claim's sweep runs under."""
-
-    clique_budget: int = oracles.DEFAULT_CLIQUE_BUDGET
-    ham_budget: int = oracles.DEFAULT_HAM_BUDGET
-    vertex_cap: int = DEFAULT_VERTEX_CAP
-
-
-@dataclass(frozen=True)
 class Claim:
     """One claim `pcg verify` can check: the families it covers (none when
     it concerns no group), its default range as (lo, hi, by_order), and
-    sweep(family, lo, hi, by_order, limits), which checks one family, or
-    runs once with family None when the claim covers none."""
+    sweep(family, lo, hi, by_order=..., limits=...), which checks one
+    family, or runs once with family None when the claim covers none."""
 
     name: str
     families: tuple[Family, ...]
@@ -498,16 +413,8 @@ class Claim:
         outside = [f.value for f in chosen if f not in self.families]
         if outside:
             raise ValueError(f"claim {self.name} does not cover the {outside[0]} family")
-        return [r for f in chosen or (None,) for r in self.sweep(f, lo, hi, by_order, limits)]
-
-
-def _budgetless(run: Callable[..., list[ClaimRecord]]) -> Callable[..., list[ClaimRecord]]:
-    """The sweep of a run_* that takes by_order and vertex_cap but no budget."""
-
-    def sweep(family, lo, hi, by_order, limits):
-        return run(family, lo, hi, by_order=by_order, vertex_cap=limits.vertex_cap)
-
-    return sweep
+        return [r for f in chosen or (None,)
+                for r in self.sweep(f, lo, hi, by_order=by_order, limits=limits)]
 
 
 def _phi_sum(family, lo, hi, by_order, limits):
@@ -516,16 +423,8 @@ def _phi_sum(family, lo, hi, by_order, limits):
     return run_phi_sum(lo, hi)
 
 
-def _clique(family, lo, hi, by_order, limits):
-    return run_clique(family, lo, hi, limits.clique_budget, limits.vertex_cap, by_order)
-
-
-def _ham(family, lo, hi, by_order, limits):
-    return run_ham(family, lo, hi, limits.ham_budget, limits.vertex_cap, by_order)
-
-
 def _decomp(family, lo, hi, by_order, limits):
-    return run_decomp([family], lo, hi, by_order, limits.vertex_cap)
+    return run_decomp([family], lo, hi, by_order=by_order, limits=limits)
 
 
 _CYC, _DIH, _DIC = Family
@@ -536,24 +435,24 @@ CLAIMS: dict[str, Claim] = {
     claim.name: claim
     for claim in (
         Claim(_PHI_SUM, (), (2, 100000, False), _phi_sum),
-        Claim(_DOMINATING_SET, _EVERY, (1, 400, True), _budgetless(run_dominating_set)),
-        Claim(_EPO_COMPLETE, _EVERY, (1, 400, True), _budgetless(run_epo_complete)),
-        Claim("clique-cyclic", (_CYC,), (2, 100, False), _clique),
-        Claim("clique-dihedral", (_DIH,), (3, 50, False), _clique),
-        Claim("clique-dicyclic", (_DIC,), (2, 50, False), _clique),
-        Claim("degree-cyclic", (_CYC,), (2, 100, False), _budgetless(run_degree)),
-        Claim("degree-dihedral", (_DIH,), (3, 60, False), _budgetless(run_degree)),
-        Claim("degree-dicyclic", (_DIC,), (2, 50, False), _budgetless(run_degree)),
-        Claim("ham-cyclic", (_CYC,), (3, 60, False), _ham),
-        Claim("ham-dihedral", (_DIH,), (3, 200, False), _ham),
-        Claim("ham-dicyclic", (_DIC,), (2, 30, False), _ham),
-        Claim("ham-cut-cyclic", (_CYC,), (3, 200, False), _budgetless(run_ham_cut)),
-        Claim("ham-cut-dicyclic", (_DIC,), (2, 100, False), _budgetless(run_ham_cut)),
+        Claim(_DOMINATING_SET, _EVERY, (1, 400, True), run_dominating_set),
+        Claim(_EPO_COMPLETE, _EVERY, (1, 400, True), run_epo_complete),
+        Claim("clique-cyclic", (_CYC,), (2, 100, False), run_clique),
+        Claim("clique-dihedral", (_DIH,), (3, 50, False), run_clique),
+        Claim("clique-dicyclic", (_DIC,), (2, 50, False), run_clique),
+        Claim("degree-cyclic", (_CYC,), (2, 100, False), run_degree),
+        Claim("degree-dihedral", (_DIH,), (3, 60, False), run_degree),
+        Claim("degree-dicyclic", (_DIC,), (2, 50, False), run_degree),
+        Claim("ham-cyclic", (_CYC,), (3, 60, False), run_ham),
+        Claim("ham-dihedral", (_DIH,), (3, 200, False), run_ham),
+        Claim("ham-dicyclic", (_DIC,), (2, 30, False), run_ham),
+        Claim("ham-cut-cyclic", (_CYC,), (3, 200, False), run_ham_cut),
+        Claim("ham-cut-dicyclic", (_DIC,), (2, 100, False), run_ham_cut),
         Claim("decomp-all", _EVERY, (1, 600, True), _decomp),
         Claim("decomp-cyclic", (_CYC,), (1, 600, True), _decomp),
         Claim("decomp-dihedral", (_DIH,), (1, 600, True), _decomp),
         Claim("decomp-dicyclic", (_DIC,), (1, 600, True), _decomp),
-        Claim("dihedral-join", (_DIH,), (3, 100, False), _budgetless(run_join_equality)),
-        Claim("dicyclic-join", (_DIC,), (3, 99, False), _budgetless(run_join_equality)),
+        Claim("dihedral-join", (_DIH,), (3, 100, False), run_join_equality),
+        Claim("dicyclic-join", (_DIC,), (3, 99, False), run_join_equality),
     )
 }

@@ -1,5 +1,6 @@
 """Command line behavior: output formats, exit codes, report determinism."""
 
+import hashlib
 import json
 import os
 import re
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import primecoprime
-from primecoprime import cli
+from primecoprime import cli, closedforms
 from primecoprime import verification as ver
 
 Z4_DOT = (
@@ -229,6 +230,81 @@ def test_verify_failure_exit(capsys, monkeypatch):
     assert "FAIL:" in out
 
 
+@pytest.mark.parametrize(
+    "moved,certificate",
+    [
+        ((1, 0), "part sizes 5,1,2,4 != element counts 4,2,2,4"),
+        ((None, 1), "part sizes 4,3,2,4 != element counts 4,2,2,4"),
+    ],
+    ids=["one-element-moved", "sum-off"],
+)
+def test_verify_wrong_part_size_fails(moved, certificate, tmp_path, capsys, monkeypatch):
+    # Z_12 has the pq^m parts 4,2,2,4; the wrong formula takes one element
+    # from a part (None: from no part) and gives it to another
+    real = closedforms._cd_part_sizes
+
+    def wrong_sizes(pattern, primes, exponents):
+        sizes = real(pattern, primes, exponents)
+        source, target = moved
+        if source is not None:
+            sizes[source] -= 1
+        sizes[target] += 1
+        return sizes
+
+    monkeypatch.setattr(closedforms, "_cd_part_sizes", wrong_sizes)
+    report = tmp_path / "r.jsonl"
+    code, out, err = run(capsys, "verify", "decomp-cyclic", "12..12", "--report", str(report))
+    assert (code, err) == (1, "")
+    assert "FAIL:" in out
+    (record,) = map(json.loads, report.read_text().splitlines())
+    assert (record["n"], record["verdict"], record["certificate"]) == (12, "fail", certificate)
+
+
+def test_verify_range_that_checks_nothing(capsys):
+    for claim, span in (("clique-dihedral", "1..5-by-group-order"),
+                        ("ham-cut-cyclic", "3..7")):
+        code, out, err = run(capsys, "verify", claim, span)
+        assert (code, out) == (2, ""), claim
+        assert err == f"error: claim {claim} checks no group in {span}\n"
+
+
+def test_verify_opens_the_report_before_the_sweep(tmp_path, capsys, monkeypatch):
+    def sweep(*args, **kwargs):
+        raise AssertionError("the sweep ran before the report was opened")
+
+    monkeypatch.setattr(ver.Claim, "run", sweep)
+    missing = tmp_path / "missing" / "r.jsonl"
+    code, out, err = run(capsys, "verify", "phi-sum", "--report", str(missing))
+    assert code == 2 and err.startswith("error:")
+
+
+# sha256 of each claim's report over the first ten values of its default
+# range; the report is the behavioural contract, so a change to any byte of
+# it must come with a new digest here
+FIRST_TEN_SHA256 = {
+    "clique-cyclic": "70d8ee9f53e6ba12b3db48e445b04d556ada0c7b88f8d8b71f207b9936d16050",
+    "clique-dicyclic": "9aa993a5f27a66691f19ffff95eb3cd594748b6db69695fb039bb687917b4f8f",
+    "clique-dihedral": "f532baf87539d95b4520f37d85388c58dec72ca3bb1644b3e49740ac2718da27",
+    "decomp-all": "aa3fa34c2d886d033a7dcac21a796013af485540b108b59da20ed6af3c0b39b9",
+    "decomp-cyclic": "0f721d9937b9de73d6387d0b3fdabf3b15cb7616aa203e5e326afbeba4a88902",
+    "decomp-dicyclic": "640276185d4f3436561a6adc9409ff216f624c452321fdc75902bacc65e3bad7",
+    "decomp-dihedral": "0996128106379e8b001400cbb4c10ebd674c0b25c22a9c3b612fa271ecd41730",
+    "degree-cyclic": "3aecf88ffb4a86c4ba3ac099759eda57703324291505f6f3ae54383bb722adc3",
+    "degree-dicyclic": "5af551c171e4d88630ff5b7e4ee042119b40937d7321ddcd6d5001f72533148f",
+    "degree-dihedral": "5a56f3f136bf8e41c642f137f4954c1468c27ce60a85768b1434d4bc66517681",
+    "dicyclic-join": "681d7ef9571e1c7aa11953ac813de6045bcda3795db2e01dde89bfd52c7208c7",
+    "dihedral-join": "8c1c624c4dcca5a7ddd7ce48041ae8078702728b9b9bace17206dfc2b2349d12",
+    "dominating-set": "e589e2053b4e325b620d9e65ae0f9b01c1d5ba8db6b9fc527f3ab86d0dbcbb50",
+    "epo-complete": "d5222a96c72143e9503ab2d146840ccdc7df9679f52b9c1c67df6b069fd83ff6",
+    "ham-cut-cyclic": "3022cd618a2eeaa97ac7d17c9b1a6878115f89d02d49994811dda4c48551b3db",
+    "ham-cut-dicyclic": "056935743d921e0fe284e83da57c9dffbb9d44f350600a9bc502837af26fd350",
+    "ham-cyclic": "e84059f6932457e7413b3b6d62845dd1255281229c4610be23293e26a9e12165",
+    "ham-dicyclic": "da66bc0aaf6ce58da2355dec879c0fcde9eb7dfcd4f2359631d4b5d2c4391ca0",
+    "ham-dihedral": "c365e29bf22f4a445f62b6ff8c8e38afece46322cd6b9dd807dfab554e2818ba",
+    "phi-sum": "c1a3970e7918263375459a62a00d94f9ee245652c4ff88f2dc9fa66a4e12528f",
+}
+
+
 @pytest.mark.parametrize("name", sorted(ver.CLAIMS))
 def test_every_claim_runs(name, tmp_path, capsys):
     lo, _, by_order = ver.CLAIMS[name].default
@@ -237,6 +313,7 @@ def test_every_claim_runs(name, tmp_path, capsys):
     code, out, err = run(capsys, "verify", name, span, "--report", str(report))
     assert (code, err) == (0, "")
     assert report.read_text()
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == FIRST_TEN_SHA256[name]
 
 
 def test_verify_help_lists_every_claim(capsys, monkeypatch):

@@ -1,11 +1,12 @@
 """Exact searches and small checkers against exhaustive brute force."""
 
+import sys
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from primecoprime.groups import cyclic, dicyclic, dihedral, s_indices
+from primecoprime.groups import Family, cyclic, dicyclic, dihedral, s_indices
 from primecoprime.oracles import (
     BudgetExceededError,
     CliqueResult,
@@ -25,7 +26,7 @@ from primecoprime.pcgraph import (
     from_edges,
     join,
 )
-from primecoprime.verification import run_epo_complete
+from primecoprime.verification import run_clique, run_epo_complete
 from conftest import assert_valid_cycle, brute_hamiltonian, brute_max_clique
 
 
@@ -66,6 +67,26 @@ def test_max_clique_theta_z12():
 def test_max_clique_needs_a_vertex():
     with pytest.raises(ValueError):
         max_clique(empty_graph(0))
+
+
+def _stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_max_clique_depth_is_not_bounded_by_the_recursion_limit():
+    # complete graphs make the search go one level deeper per clique vertex
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 60)
+    try:
+        result = max_clique(complete(200))
+        (record,) = run_clique(Family.CYCLIC, 199, 199)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert result == CliqueResult(200, tuple(range(200)))
+    assert (record.formula, record.oracle, record.verdict) == (199, 199, "pass")
 
 
 def test_max_clique_budget():
