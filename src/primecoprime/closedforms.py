@@ -323,19 +323,26 @@ _DIC_PATTERNS: dict[str, tuple[tuple[tuple[int, int], ...], tuple[int, int]]] = 
 @dataclass(frozen=True)
 class DecompositionEntry:
     """One catalog hit: the matched pattern, its primes and exponents in role
-    order, the H-join layout, and the (k, l)-partition counts."""
+    order, the closed-form part sizes (clique part first) and pattern edges
+    of the H-join layout, and the (k, l)-partition counts."""
 
     family: Family
     n: int
     pattern: str
     primes: tuple[int, ...]
     exponents: tuple[int, ...]
-    hjoin: HJoinSpec
+    sizes: tuple[int, ...]
+    pattern_edges: tuple[tuple[int, int], ...]
     kl: tuple[int, int]
 
-
-def _parts(sizes: list[tuple[PartKind, int]]) -> tuple[HJoinPart, ...]:
-    return tuple(HJoinPart(kind, size) for kind, size in sizes)
+    @property
+    def hjoin(self) -> HJoinSpec:
+        """The H-join layout; raises ValueError when a part size is not positive."""
+        kinds = [PartKind.COMPLETE] + [PartKind.EMPTY] * (len(self.sizes) - 1)
+        return HJoinSpec(
+            from_edges(len(self.sizes), self.pattern_edges),
+            tuple(HJoinPart(kind, size) for kind, size in zip(kinds, self.sizes)),
+        )
 
 
 def _cd_part_sizes(
@@ -467,12 +474,7 @@ def decomposition_catalog(family: Family, n: int) -> DecompositionEntry | None:
         pattern, primes, exponents = match
         sizes = _dic_part_sizes(pattern, n, primes, exponents)
         edges, kl = _DIC_PATTERNS[pattern]
-    kinds = [PartKind.COMPLETE] + [PartKind.EMPTY] * (len(sizes) - 1)
-    spec = HJoinSpec(
-        from_edges(len(sizes), edges),
-        _parts(list(zip(kinds, sizes))),
-    )
-    return DecompositionEntry(family, n, pattern, primes, exponents, spec, kl)
+    return DecompositionEntry(family, n, pattern, primes, exponents, tuple(sizes), edges, kl)
 
 
 def _cd_part_of(pattern: str, primes: tuple[int, ...], d: int) -> int:
@@ -558,12 +560,12 @@ def _dic_part_of(pattern: str, primes: tuple[int, ...], outside: bool, d: int) -
 
 def catalog_partition(entry: DecompositionEntry) -> tuple[tuple[int, ...], ...]:
     """Vertex partition of build_theta(GroupSpec(entry.family, entry.n)) that
-    realizes entry.hjoin, parts aligned with entry.hjoin.parts.  Each element
-    goes to its part by its order; whether the parts come out at the sizes
-    entry.hjoin states is left to the caller (run_decomp checks it)."""
+    realizes entry.hjoin, parts aligned with entry.sizes.  Each element goes
+    to its part by its order; whether the parts come out at entry.sizes is
+    left to the caller (run_decomp checks it)."""
     group = GroupSpec(entry.family, entry.n)
     orders = element_orders(group)
-    buckets: list[list[int]] = [[] for _ in entry.hjoin.parts]
+    buckets: list[list[int]] = [[] for _ in entry.sizes]
     if entry.family is Family.DICYCLIC:
         inside = 2 * entry.n
         for v, d in enumerate(orders):

@@ -1,10 +1,12 @@
 """Brute-force verifiers, independent of the closed forms.
 
-max_clique is an exact branch-and-bound with greedy colouring bounds;
-hamiltonian_search is a backtracking search whose pruning rules are all
-sound, so exhaustion proves non-Hamiltonicity and every verdict carries
-checkable evidence (a cycle or a disconnecting cut).  Nothing here is
-randomized; identical inputs always produce identical outputs.
+max_clique is an exact branch-and-bound with greedy colouring bounds; its
+witness is the greedy lexicographic clique when that is maximum, and is
+otherwise rebuilt by exact searches.  hamiltonian_search is a backtracking
+search whose pruning rules are all sound, so exhaustion proves
+non-Hamiltonicity and every verdict carries checkable evidence (a cycle or
+a disconnecting cut).  Nothing here is randomized; identical inputs always
+produce identical outputs.
 """
 
 from __future__ import annotations
@@ -149,14 +151,29 @@ def _exists_clique(adj: list[int], cand: int, k: int, budget: _Budget) -> bool:
         i, cand, k = len(order) - 1, sub, k - 1
 
 
+def _greedy_clique(adj: list[int], cand: int) -> list[int]:
+    """Keep the lowest candidate and narrow to its neighbours until none is
+    left: a maximal clique, the lexicographically least one."""
+    clique: list[int] = []
+    while cand:
+        bit = cand & -cand
+        v = bit.bit_length() - 1
+        clique.append(v)
+        cand &= adj[v]
+    return clique
+
+
 def max_clique(
     graph: SimpleGraph, node_budget: int = DEFAULT_CLIQUE_BUDGET
 ) -> CliqueResult:
     """Exact maximum clique with the lexicographically least witness.
 
-    Phase one finds the clique number; phase two grows the witness greedily,
-    keeping a vertex exactly when a maximum clique through the current prefix
-    still exists.  Both phases share the node budget.
+    Phase one finds the clique number.  If the greedy lexicographic clique
+    (lowest candidate first) reaches it, that clique is the witness: each of
+    its vertices is the lowest one through which a maximum clique extends
+    the prefix.  Otherwise phase two grows the witness, keeping a vertex
+    exactly when a maximum clique through the current prefix still exists.
+    Both phases share the node budget; the greedy clique spends none.
     """
     n = graph.vertex_count
     if n < 1:
@@ -165,23 +182,25 @@ def max_clique(
     budget = _Budget(node_budget)
     full = (1 << n) - 1
     best = _max_size(adj, full, budget)
-    witness: list[int] = []
-    cand = full
-    need = best
-    scan = 0
-    while need > 0:
-        for v in range(scan, n):
-            if not (cand >> v) & 1:
-                continue
-            sub = cand & adj[v]
-            if need == 1 or _exists_clique(adj, sub, need - 1, budget):
-                witness.append(v)
-                cand = sub
-                need -= 1
-                scan = v + 1
-                break
-        else:
-            raise AssertionError("witness reconstruction failed")
+    witness = _greedy_clique(adj, full)
+    if len(witness) < best:
+        witness = []
+        cand = full
+        need = best
+        scan = 0
+        while need > 0:
+            for v in range(scan, n):
+                if not (cand >> v) & 1:
+                    continue
+                sub = cand & adj[v]
+                if need == 1 or _exists_clique(adj, sub, need - 1, budget):
+                    witness.append(v)
+                    cand = sub
+                    need -= 1
+                    scan = v + 1
+                    break
+            else:
+                raise AssertionError("witness reconstruction failed")
     for i, u in enumerate(witness):  # cheap self-check before reporting
         for v in witness[i + 1 :]:
             if not (adj[u] >> v) & 1:

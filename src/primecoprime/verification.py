@@ -343,12 +343,11 @@ def run_decomp(
             return []  # the catalog does not cover this parameter shape
         theta = build_theta(group, limits.vertex_cap)
         partition = cf.catalog_partition(entry)
-        sizes = [part.size for part in entry.hjoin.parts]
-        counted = [len(part) for part in partition]
+        counted = tuple(len(part) for part in partition)
         k, l = entry.kl
         ok = False
-        if sizes != counted:
-            certificate = f"part sizes {_csv(sizes)} != element counts {_csv(counted)}"
+        if entry.sizes != counted:
+            certificate = f"part sizes {_csv(entry.sizes)} != element counts {_csv(counted)}"
         elif not (structure := verify_hjoin_structure(theta, partition, entry.hjoin)):
             certificate = (f"clause={structure.clause},parts={structure.parts},"
                            f"pair={structure.vertex_pair}")

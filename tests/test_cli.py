@@ -1,16 +1,19 @@
 """Command line behavior: output formats, exit codes, report determinism."""
 
 import hashlib
+import io
 import json
 import os
 import re
 import shutil
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from importlib import metadata
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import primecoprime
 from primecoprime import cli, closedforms
@@ -231,27 +234,19 @@ def test_verify_failure_exit(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "moved,certificate",
+    "wrong,certificate",
     [
-        ((1, 0), "part sizes 5,1,2,4 != element counts 4,2,2,4"),
-        ((None, 1), "part sizes 4,3,2,4 != element counts 4,2,2,4"),
+        ([5, 1, 2, 4], "part sizes 5,1,2,4 != element counts 4,2,2,4"),
+        ([4, 3, 2, 4], "part sizes 4,3,2,4 != element counts 4,2,2,4"),
+        ([6, 0, 2, 4], "part sizes 6,0,2,4 != element counts 4,2,2,4"),
     ],
-    ids=["one-element-moved", "sum-off"],
+    ids=["one-element-moved", "sum-off", "part-emptied"],
 )
-def test_verify_wrong_part_size_fails(moved, certificate, tmp_path, capsys, monkeypatch):
-    # Z_12 has the pq^m parts 4,2,2,4; the wrong formula takes one element
-    # from a part (None: from no part) and gives it to another
-    real = closedforms._cd_part_sizes
-
-    def wrong_sizes(pattern, primes, exponents):
-        sizes = real(pattern, primes, exponents)
-        source, target = moved
-        if source is not None:
-            sizes[source] -= 1
-        sizes[target] += 1
-        return sizes
-
-    monkeypatch.setattr(closedforms, "_cd_part_sizes", wrong_sizes)
+def test_verify_wrong_part_size_fails(wrong, certificate, tmp_path, capsys, monkeypatch):
+    # Z_12 has the pq^m parts 4,2,2,4; the wrong formulas move one element
+    # between parts, add one element, or move a whole part into the clique
+    # part (an empty part forms no H-join, and is a fail record all the same)
+    monkeypatch.setattr(closedforms, "_cd_part_sizes", lambda *shape: list(wrong))
     report = tmp_path / "r.jsonl"
     code, out, err = run(capsys, "verify", "decomp-cyclic", "12..12", "--report", str(report))
     assert (code, err) == (1, "")
@@ -303,6 +298,62 @@ FIRST_TEN_SHA256 = {
     "ham-dihedral": "c365e29bf22f4a445f62b6ff8c8e38afece46322cd6b9dd807dfab554e2818ba",
     "phi-sum": "c1a3970e7918263375459a62a00d94f9ee245652c4ff88f2dc9fa66a4e12528f",
 }
+
+
+def _mostly(good, bad):
+    # one draw in six is malformed, so most argvs reach the sweep
+    return st.integers(0, 5).flatmap(lambda k: bad if k == 0 else good)
+
+
+_RANGES = _mostly(
+    st.builds("{}..{}{}".format, st.integers(0, 12), st.integers(0, 12),
+              st.sampled_from(["", "-by-group-order"])),  # reversed if the first is larger
+    st.sampled_from(["", "5", "3..", "..3", "3-4", "1..2..3", "a..b", "-1..3",
+                     "2..3-by-order", "1..12-by-group-order-"]),
+)
+_BUDGET = _mostly(st.integers(-2, 10**4), st.sampled_from(["x", "1e3", ""])).map(str)
+
+
+@st.composite
+def verify_argv(draw):
+    claim = _mostly(st.sampled_from(sorted(ver.CLAIMS)), st.sampled_from(["clique", "no-such"]))
+    argv = ["verify", draw(claim), draw(_RANGES)]
+    options = {
+        "--family": _mostly(st.sampled_from(["all", "cyclic", "dihedral", "dicyclic"]),
+                            st.just("klein")),
+        "--clique-budget": _BUDGET,
+        "--ham-budget": _BUDGET,
+        "--vertex-cap": _mostly(st.integers(-1, 200), st.just("cap")).map(str),
+    }
+    for flag, values in options.items():
+        if draw(st.booleans()):
+            argv += [flag, draw(values)]
+    return argv
+
+
+@st.composite
+def query_argv(draw):
+    what = draw(st.sampled_from(["clique", "degree", "hamiltonian", "decompose"]))
+    family = draw(_mostly(st.sampled_from(["cyclic", "dihedral", "dicyclic"]), st.just("klein")))
+    argv = ["query", what, family, str(draw(st.integers(-2, 10**4)))]
+    if draw(st.booleans()):
+        label = st.builds("{}{}{}".format, st.sampled_from(["g", "r", "s", "a", "b", "x", ""]),
+                          st.integers(-1, 100), st.sampled_from(["", "b"]))
+        argv.append(draw(label))
+    return argv
+
+
+@settings(max_examples=250, deadline=None)
+@given(st.one_of(verify_argv(), query_argv()))
+def test_argv_ends_in_a_documented_exit_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse rejects the option values
+            code = exc.code
+    assert code in range(5), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
 
 
 @pytest.mark.parametrize("name", sorted(ver.CLAIMS))

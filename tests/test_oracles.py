@@ -103,6 +103,35 @@ def test_max_clique_matches_brute_force(g):
     assert result.witness == witness
 
 
+def test_max_clique_complete_graph_spends_one_node_per_vertex():
+    # the greedy witness is maximum, so only phase one's n nodes are spent
+    assert max_clique(complete(300), node_budget=300) == CliqueResult(300, tuple(range(300)))
+    with pytest.raises(BudgetExceededError):
+        max_clique(complete(300), node_budget=299)
+
+
+def test_max_clique_rebuilds_witness_when_greedy_is_not_maximum():
+    # the greedy clique {0, 1} is maximal but smaller than the triangle
+    g = from_edges(5, [(0, 1), (2, 3), (2, 4), (3, 4)])
+    assert max_clique(g) == CliqueResult(3, (2, 3, 4))
+
+
+@st.composite
+def dense_graphs(draw, max_n=12):
+    # each graph keeps a pair with probability density/10, density 5..10
+    n = draw(st.integers(1, max_n))
+    pairs = list(combinations(range(n), 2))
+    density = draw(st.integers(5, 10))
+    draws = draw(st.lists(st.integers(0, 9), min_size=len(pairs), max_size=len(pairs)))
+    return from_edges(n, [e for e, d in zip(pairs, draws) if d < density])
+
+
+@settings(max_examples=150)
+@given(dense_graphs())
+def test_max_clique_matches_brute_force_on_dense_graphs(g):
+    assert max_clique(g) == CliqueResult(*brute_max_clique(g))
+
+
 # ---------------------------------------------------------------------------
 # Hamiltonicity search
 # ---------------------------------------------------------------------------
