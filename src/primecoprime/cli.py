@@ -37,6 +37,14 @@ EXIT_INCONCLUSIVE = 4
 _FAMILY_NAMES = sorted(f.value for f in Family)
 
 
+def non_negative_int(text: str) -> int:
+    """argparse type for budgets and caps: an int >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pcg",
@@ -49,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_theta.add_argument("n", type=int)
     p_theta.add_argument("--format", choices=("dot", "json"), default="dot")
     p_theta.add_argument("-o", "--output", default=None, help="write here instead of stdout")
-    p_theta.add_argument("--vertex-cap", type=int, default=DEFAULT_VERTEX_CAP)
+    p_theta.add_argument("--vertex-cap", type=non_negative_int, default=DEFAULT_VERTEX_CAP)
 
     p_query = sub.add_parser("query", help="closed-form queries")
     p_query.add_argument("what", choices=("clique", "degree", "hamiltonian", "decompose"))
@@ -65,9 +73,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--family", choices=("all", *_FAMILY_NAMES),
                           default="all", help="restrict family-spanning claims")
     p_verify.add_argument("--report", default=None, help="write a JSONL report here")
-    p_verify.add_argument("--clique-budget", type=int, default=DEFAULT_CLIQUE_BUDGET)
-    p_verify.add_argument("--ham-budget", type=int, default=DEFAULT_HAM_BUDGET)
-    p_verify.add_argument("--vertex-cap", type=int, default=DEFAULT_VERTEX_CAP)
+    p_verify.add_argument("--clique-budget", type=non_negative_int, default=DEFAULT_CLIQUE_BUDGET)
+    p_verify.add_argument("--ham-budget", type=non_negative_int, default=DEFAULT_HAM_BUDGET)
+    p_verify.add_argument("--vertex-cap", type=non_negative_int, default=DEFAULT_VERTEX_CAP)
     return parser
 
 
@@ -106,13 +114,8 @@ def _cmd_query(args: argparse.Namespace) -> int:
     print("primes: " + ",".join(str(p) for p in entry.primes))
     print("exponents: " + ",".join(str(e) for e in entry.exponents))
     print("parts: " + entry.hjoin.describe())
-    edges = [
-        f"{u}-{v}"
-        for u in range(entry.hjoin.pattern.vertex_count)
-        for v in entry.hjoin.pattern.adjacency[u]
-        if v > u
-    ]
-    print("pattern-edges: " + (" ".join(edges) if edges else "none"))
+    edges = " ".join(f"{u}-{v}" for u, v in entry.pattern_edges)
+    print("pattern-edges: " + (edges or "none"))
     print(f"kl: {entry.kl[0]},{entry.kl[1]}")
     return EXIT_OK
 

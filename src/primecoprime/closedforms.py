@@ -25,13 +25,12 @@ from .groups import (
     dihedral,
     element_at,
     element_order,
-    element_orders,
+    order_classes,
 )
 from .numtheory import Factorization, factorize, is_prime
 from .pcgraph import HJoinPart, HJoinSpec, PartKind, from_edges
 
 __all__ = [
-    "ExponentProfile",
     "clique_cyclic",
     "clique_dihedral",
     "clique_dicyclic",
@@ -99,49 +98,6 @@ def clique_number(group: GroupSpec) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExponentProfile:
-    """Exponent data of an element order d inside its ambient cyclic group.
-
-    alpha are the exponents of the group order, beta the exponents of d
-    (componentwise beta <= alpha), and gamma the effective exponents used by
-    the degree expansion: gamma_i = 1 where beta_i >= 2, else alpha_i.
-    """
-
-    factorization: Factorization
-    beta: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.beta) != self.factorization.prime_count:
-            raise ValueError("beta must align with the prime list")
-        for b, a in zip(self.beta, self.factorization.exponents):
-            if not (0 <= b <= a):
-                raise ValueError("beta must satisfy 0 <= beta_i <= alpha_i")
-
-    @classmethod
-    def for_order(cls, fact: Factorization, d: int) -> "ExponentProfile":
-        if d < 1 or fact.value % d != 0:
-            raise ValueError(f"{d} is not a divisor of {fact.value}")
-        beta = []
-        for p in fact.primes:
-            b = 0
-            while d % p == 0:
-                d //= p
-                b += 1
-            beta.append(b)
-        return cls(fact, tuple(beta))
-
-    @property
-    def alpha(self) -> tuple[int, ...]:
-        return self.factorization.exponents
-
-    @property
-    def gamma(self) -> tuple[int, ...]:
-        return tuple(
-            1 if b >= 2 else a for b, a in zip(self.beta, self.alpha)
-        )
-
-
 def _is_composite(d: int) -> bool:
     return d > 1 and not is_prime(d)
 
@@ -150,18 +106,30 @@ def _composite_degree(fact: Factorization, d: int) -> int:
     """Degree of a composite-order vertex in the prime coprime graph of the
     cyclic group of order fact.value, by the admissible-subset expansion:
     sum over a in {0,1}^k with at most one a_i = 1 on the support of d, of
-    prod (p_i**gamma_i - 1)**a_i."""
-    profile = ExponentProfile.for_order(fact, d)
-    support = [i for i, b in enumerate(profile.beta) if b >= 1]
-    gamma = profile.gamma
+    prod (p_i**gamma_i - 1)**a_i.
+
+    With alpha_i the exponents of the group order and beta_i those of the
+    divisor d, the effective exponent gamma_i is 1 where beta_i >= 2 and
+    alpha_i otherwise.
+    """
+    support = []
+    weights = []  # p_i**gamma_i - 1
+    for i, (p, alpha) in enumerate(zip(fact.primes, fact.exponents)):
+        beta = 0
+        while d % p == 0:
+            d //= p
+            beta += 1
+        if beta >= 1:
+            support.append(i)
+        weights.append(p ** (1 if beta >= 2 else alpha) - 1)
     total = 0
     for picks in product((0, 1), repeat=fact.prime_count):
         if sum(picks[i] for i in support) > 1:
             continue
         term = 1
-        for i, a in enumerate(picks):
+        for weight, a in zip(weights, picks):
             if a:
-                term *= fact.primes[i] ** gamma[i] - 1
+                term *= weight
         total += term
     return total
 
@@ -225,19 +193,14 @@ def theta_degrees(group: GroupSpec) -> list[int]:
     """Degrees of all vertices, aligned with the canonical listing.
 
     A degree depends only on the element's order and on whether the element
-    lies in the cyclic part (the first half of a dihedral or dicyclic
-    listing), so theta_degree runs once per such class, on the class's first
-    element, and the class shares the result.
+    lies in the cyclic part, so theta_degree runs once per order class, on
+    the class's first element, and the class shares the result.
     """
-    split = group.order if group.family is Family.CYCLIC else group.order // 2
-    by_class: dict[tuple[int, bool], int] = {}
-    degrees = []
-    for v, d in enumerate(element_orders(group)):
-        key = (d, v >= split)
-        degree = by_class.get(key)
-        if degree is None:
-            degree = by_class[key] = theta_degree(group, element_at(group, v))
-        degrees.append(degree)
+    degrees = [0] * group.order
+    for members in order_classes(group).values():
+        degree = theta_degree(group, element_at(group, members[0]))
+        for v in members:
+            degrees[v] = degree
     return degrees
 
 
@@ -286,45 +249,33 @@ def is_hamiltonian(group: GroupSpec) -> bool:
 # decomposition catalog
 # ---------------------------------------------------------------------------
 
-# pattern graphs, part 0 = the clique part; edges (i, j) say which parts see
-# each other completely
-_CD_PATTERNS: dict[str, tuple[tuple[tuple[int, int], ...], tuple[int, int]]] = {
-    "p": ((), (0, 1)),
-    "pq": (((0, 1),), (1, 1)),
-    "p^m": (((0, 1),), (1, 1)),
-    "pq^m": (((0, 1), (0, 2), (0, 3), (1, 2)), (3, 1)),
-    "p^lq^m": (
-        ((0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6),
-         (1, 2), (1, 3), (1, 5), (2, 3), (2, 4)),
-        (6, 1),
-    ),
-    "pqr": (
-        ((0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (2, 3)),
-        (4, 1),
-    ),
+# pattern graphs, part 0 = the clique part; edges (i, j), i < j, in
+# ascending order, say which parts see each other completely
+_CD_PATTERNS: dict[str, tuple[tuple[int, int], ...]] = {
+    "p": (),
+    "pq": ((0, 1),),
+    "p^m": ((0, 1),),
+    "pq^m": ((0, 1), (0, 2), (0, 3), (1, 2)),
+    "p^lq^m": ((0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6),
+               (1, 2), (1, 3), (1, 5), (2, 3), (2, 4)),
+    "pqr": ((0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (2, 3)),
 }
 
-_DIC_PATTERNS: dict[str, tuple[tuple[tuple[int, int], ...], tuple[int, int]]] = {
-    "p": (((0, 1), (0, 2), (1, 2)), (2, 1)),
-    "2p": (((0, 1), (0, 2), (0, 3), (1, 3)), (3, 1)),
-    "pq": (
-        ((0, 1), (0, 2), (0, 3), (0, 4), (0, 5),
-         (1, 2), (1, 3), (1, 5), (2, 3), (2, 5), (3, 5), (4, 5)),
-        (5, 1),
-    ),
-    "2^m": (((0, 1),), (1, 1)),
-    "p^m": (
-        ((0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 4), (2, 4), (3, 4)),
-        (4, 1),
-    ),
+_DIC_PATTERNS: dict[str, tuple[tuple[int, int], ...]] = {
+    "p": ((0, 1), (0, 2), (1, 2)),
+    "2p": ((0, 1), (0, 2), (0, 3), (1, 3)),
+    "pq": ((0, 1), (0, 2), (0, 3), (0, 4), (0, 5),
+           (1, 2), (1, 3), (1, 5), (2, 3), (2, 5), (3, 5), (4, 5)),
+    "2^m": ((0, 1),),
+    "p^m": ((0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 4), (2, 4), (3, 4)),
 }
 
 
 @dataclass(frozen=True)
 class DecompositionEntry:
     """One catalog hit: the matched pattern, its primes and exponents in role
-    order, the closed-form part sizes (clique part first) and pattern edges
-    of the H-join layout, and the (k, l)-partition counts."""
+    order, and the closed-form part sizes (clique part first) and pattern
+    edges of the H-join layout."""
 
     family: Family
     n: int
@@ -333,7 +284,12 @@ class DecompositionEntry:
     exponents: tuple[int, ...]
     sizes: tuple[int, ...]
     pattern_edges: tuple[tuple[int, int], ...]
-    kl: tuple[int, int]
+
+    @property
+    def kl(self) -> tuple[int, int]:
+        """(k, l) of the (k, l)-partition: one clique part, the rest
+        independent sets."""
+        return len(self.sizes) - 1, 1
 
     @property
     def hjoin(self) -> HJoinSpec:
@@ -466,15 +422,15 @@ def decomposition_catalog(family: Family, n: int) -> DecompositionEntry | None:
         sizes = _cd_part_sizes(pattern, primes, exponents)
         if family is Family.DIHEDRAL:
             sizes[0] += n
-        edges, kl = _CD_PATTERNS[pattern]
+        edges = _CD_PATTERNS[pattern]
     else:
         match = _match_dicyclic(n)
         if match is None:
             return None
         pattern, primes, exponents = match
         sizes = _dic_part_sizes(pattern, n, primes, exponents)
-        edges, kl = _DIC_PATTERNS[pattern]
-    return DecompositionEntry(family, n, pattern, primes, exponents, tuple(sizes), edges, kl)
+        edges = _DIC_PATTERNS[pattern]
+    return DecompositionEntry(family, n, pattern, primes, exponents, tuple(sizes), edges)
 
 
 def _cd_part_of(pattern: str, primes: tuple[int, ...], d: int) -> int:
@@ -560,17 +516,14 @@ def _dic_part_of(pattern: str, primes: tuple[int, ...], outside: bool, d: int) -
 
 def catalog_partition(entry: DecompositionEntry) -> tuple[tuple[int, ...], ...]:
     """Vertex partition of build_theta(GroupSpec(entry.family, entry.n)) that
-    realizes entry.hjoin, parts aligned with entry.sizes.  Each element goes
-    to its part by its order; whether the parts come out at entry.sizes is
-    left to the caller (run_decomp checks it)."""
-    group = GroupSpec(entry.family, entry.n)
-    orders = element_orders(group)
+    realizes entry.hjoin, parts aligned with entry.sizes, each ascending.
+    Each order class goes to its part whole; whether the parts come out at
+    entry.sizes is left to the caller (run_decomp checks it)."""
     buckets: list[list[int]] = [[] for _ in entry.sizes]
-    if entry.family is Family.DICYCLIC:
-        inside = 2 * entry.n
-        for v, d in enumerate(orders):
-            buckets[_dic_part_of(entry.pattern, entry.primes, v >= inside, d)].append(v)
-    else:
-        for v, d in enumerate(orders):
-            buckets[_cd_part_of(entry.pattern, entry.primes, d)].append(v)
-    return tuple(tuple(b) for b in buckets)
+    for (d, outside), members in order_classes(GroupSpec(entry.family, entry.n)).items():
+        if entry.family is Family.DICYCLIC:
+            part = _dic_part_of(entry.pattern, entry.primes, outside, d)
+        else:
+            part = _cd_part_of(entry.pattern, entry.primes, d)
+        buckets[part] += members
+    return tuple(tuple(sorted(b)) for b in buckets)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import re
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
@@ -31,12 +30,9 @@ __all__ = [
     "elements",
     "element_labels",
     "element_at",
-    "element_index",
     "element_order",
     "element_orders",
-    "order_class_counts",
-    "s_set",
-    "t_set",
+    "order_classes",
     "s_indices",
     "is_epo",
 ]
@@ -161,19 +157,8 @@ def _check_membership(group: GroupSpec, element: GroupElement) -> None:
         raise ValueError(f"element {element} out of range for {group}")
 
 
-def element_index(group: GroupSpec, element: GroupElement) -> int:
-    """Position of the element in the canonical listing."""
-    _check_membership(group, element)
-    if element.kind in ("g", "r", "a"):
-        return element.index
-    if element.kind == "s":
-        return group.n + element.index
-    return 2 * group.n + element.index
-
-
 def element_at(group: GroupSpec, index: int) -> GroupElement:
-    """Element at this position of the canonical listing; the inverse of
-    element_index."""
+    """Element at this position of the canonical listing."""
     if not 0 <= index < group.order:
         raise ValueError(f"index {index} out of range for {group}")
     if group.family is Family.CYCLIC:
@@ -214,36 +199,40 @@ def element_orders(group: GroupSpec) -> list[int]:
     return orders
 
 
-def order_class_counts(group: GroupSpec) -> dict[int, int]:
-    """Map order d -> number of elements of order d."""
-    return dict(Counter(element_orders(group)))
+def order_classes(group: GroupSpec) -> dict[tuple[int, bool], list[int]]:
+    """Map (order, outside) -> the canonical indices of the elements of that
+    order, ascending; outside is True for the elements outside the cyclic
+    part (the second half of a dihedral or dicyclic listing).
+
+    Adjacency and degrees depend only on these two facts, so every grouping
+    of elements by order goes through here.  Classes appear in the order of
+    their first element.
+    """
+    half = group.order if group.family is Family.CYCLIC else group.order // 2
+    orders = element_orders(group)
+    classes: dict[tuple[int, bool], list[int]] = {}
+    for outside, indices in ((False, range(half)), (True, range(half, group.order))):
+        by_order: dict[int, list[int]] = {}
+        for v in indices:
+            by_order.setdefault(orders[v], []).append(v)
+        classes.update(((d, outside), members) for d, members in by_order.items())
+    return classes
 
 
 def _is_one_or_prime(d: int) -> bool:
     return d == 1 or is_prime(d)
 
 
-def s_set(group: GroupSpec) -> set[GroupElement]:
-    """Elements whose order is 1 or a prime."""
-    return {
-        e for e in elements(group) if _is_one_or_prime(element_order(group, e))
-    }
-
-
-def t_set(group: GroupSpec) -> set[GroupElement]:
-    """Elements of composite order (the complement of s_set)."""
-    return {
-        e for e in elements(group) if not _is_one_or_prime(element_order(group, e))
-    }
-
-
 def s_indices(group: GroupSpec) -> tuple[int, ...]:
-    """Canonical indices of the s_set elements, ascending."""
-    return tuple(
-        i for i, d in enumerate(element_orders(group)) if _is_one_or_prime(d)
-    )
+    """Canonical indices of the elements of order 1 or a prime, ascending."""
+    return tuple(sorted(
+        v
+        for (d, _), members in order_classes(group).items()
+        if _is_one_or_prime(d)
+        for v in members
+    ))
 
 
 def is_epo(group: GroupSpec) -> bool:
     """True iff every element has order 1 or prime."""
-    return all(_is_one_or_prime(d) for d in set(element_orders(group)))
+    return all(_is_one_or_prime(d) for d, _ in order_classes(group))

@@ -9,14 +9,12 @@ divisors.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import chain, count, product
 
 __all__ = [
     "Factorization",
-    "gcd",
     "is_prime",
     "factorize",
     "euler_phi",
@@ -28,13 +26,6 @@ __all__ = [
 def _check_positive(n: int, what: str) -> None:
     if n < 1:
         raise ValueError(f"{what} must be a positive integer, got {n}")
-
-
-def gcd(a: int, b: int) -> int:
-    """Greatest common divisor of two positive integers."""
-    _check_positive(a, "gcd argument")
-    _check_positive(b, "gcd argument")
-    return math.gcd(a, b)
 
 
 def is_prime(n: int) -> bool:

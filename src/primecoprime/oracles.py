@@ -14,12 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .pcgraph import (
-    SimpleGraph,
-    component_count,
-    delete_vertices,
-    validate_partition,
-)
+from .pcgraph import SimpleGraph, component_count, validate_partition
 
 __all__ = [
     "DEFAULT_CLIQUE_BUDGET",
@@ -257,7 +252,7 @@ def _root_cut_witness(graph: SimpleGraph) -> tuple[int, ...] | None:
         if len(candidates) >= 17:
             break
     for cut in candidates:
-        if component_count(delete_vertices(graph, cut)) > len(cut):
+        if component_count(graph, cut) > len(cut):
             return cut
     return None
 
@@ -305,7 +300,7 @@ def hamiltonian_search(
         return HamiltonicityEvidence(Verdict.NON_HAMILTONIAN, note="disconnected")
     cut = _root_cut_witness(graph)
     if cut is not None:
-        pieces = component_count(delete_vertices(graph, cut))
+        pieces = component_count(graph, cut)
         return HamiltonicityEvidence(
             Verdict.NON_HAMILTONIAN,
             cut_set=cut,
@@ -394,7 +389,7 @@ def cut_witness_check(graph: SimpleGraph, cut) -> bool:
         raise ValueError("cut set must be nonempty")
     if len(cut_set) >= graph.vertex_count:
         raise ValueError("cut set must be a proper subset of the vertices")
-    return component_count(delete_vertices(graph, cut_set)) > len(cut_set)
+    return component_count(graph, cut_set) > len(cut_set)
 
 
 def dirac_check(graph: SimpleGraph) -> bool:

@@ -1,10 +1,10 @@
 """Simple undirected graphs and the prime coprime graph construction.
 
 A SimpleGraph stores sorted neighbor tuples per vertex.  Adjacency in the
-prime coprime graph depends only on element orders, so build_theta assembles
-one neighbor tuple per order class and shares it across the class; only
-classes adjacent to themselves (order 1 or prime) need a per-vertex copy with
-the vertex itself removed.
+prime coprime graph depends only on element orders, so build_theta walks the
+order classes (groups.order_classes), assembles one neighbor tuple per order
+and shares it across its classes; only classes adjacent to themselves
+(order 1 or prime) need a per-vertex copy with the vertex itself removed.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
 
-from .groups import GroupSpec, element_labels, element_orders
+from .groups import GroupSpec, element_labels, order_classes
 from .numtheory import is_prime
 
 __all__ = [
@@ -26,15 +26,11 @@ __all__ = [
     "empty_graph",
     "complete",
     "from_edges",
-    "cycle_graph",
     "join",
     "PartKind",
     "HJoinPart",
     "HJoinSpec",
-    "h_join",
     "build_theta",
-    "induced_subgraph",
-    "delete_vertices",
     "component_count",
     "is_complete",
     "validate_partition",
@@ -146,13 +142,6 @@ def from_edges(
     return SimpleGraph(tuple(tuple(sorted(s)) for s in nbrs), labels)
 
 
-def cycle_graph(m: int) -> SimpleGraph:
-    """Cycle on m >= 3 vertices."""
-    if m < 3:
-        raise ValueError("a cycle needs at least 3 vertices")
-    return from_edges(m, [(i, (i + 1) % m) for i in range(m)])
-
-
 def join(a: SimpleGraph, b: SimpleGraph) -> SimpleGraph:
     """Join of two graphs: disjoint union plus all cross edges."""
     na, nb = a.vertex_count, b.vertex_count
@@ -206,32 +195,6 @@ class HJoinSpec:
         return ",".join(p.describe() for p in self.parts)
 
 
-def h_join(spec: HJoinSpec) -> SimpleGraph:
-    """Expand an HJoinSpec: parts become blocks of consecutive vertices, all
-    cross edges appear exactly for pattern edges."""
-    sizes = [p.size for p in spec.parts]
-    offsets = [0]
-    for size in sizes:
-        offsets.append(offsets[-1] + size)
-    blocks = [tuple(range(offsets[i], offsets[i + 1])) for i in range(len(sizes))]
-    adjacency: list[tuple[int, ...]] = [()] * offsets[-1]
-    for i, part in enumerate(spec.parts):
-        nbr_parts = spec.pattern.adjacency[i]
-        pre: list[int] = []
-        post: list[int] = []
-        for j in nbr_parts:
-            (pre if j < i else post).extend(blocks[j])
-        if part.kind is PartKind.COMPLETE:
-            own = blocks[i]
-            for at, v in enumerate(own):
-                adjacency[v] = tuple(pre) + own[:at] + own[at + 1 :] + tuple(post)
-        else:
-            shared = tuple(pre) + tuple(post)
-            for v in blocks[i]:
-                adjacency[v] = shared
-    return SimpleGraph(tuple(adjacency))
-
-
 def _adjacent_orders(d1: int, d2: int) -> bool:
     # edge rule of the prime coprime graph, applied to order classes
     g = math.gcd(d1, d2)
@@ -245,59 +208,33 @@ def build_theta(group: GroupSpec, vertex_cap: int = DEFAULT_VERTEX_CAP) -> Simpl
         raise CapacityError(
             f"{group} has {group.order} elements, above the cap of {vertex_cap}"
         )
-    orders = element_orders(group)
-    labels = tuple(element_labels(group))
-    classes: dict[int, list[int]] = {}
-    for v, d in enumerate(orders):
-        classes.setdefault(d, []).append(v)
-    distinct = sorted(classes)
+    classes = order_classes(group)
     adjacency: list[tuple[int, ...]] = [()] * group.order
-    for d in distinct:
-        linked = [d2 for d2 in distinct if _adjacent_orders(d, d2)]
-        base = tuple(sorted(chain.from_iterable(classes[d2] for d2 in linked)))
-        if d in linked:
+    rows: dict[int, tuple[int, ...]] = {}  # order -> neighbours of its classes
+    for (d, _), members in classes.items():
+        if d not in rows:
+            linked = (m for (d2, _), m in classes.items() if _adjacent_orders(d, d2))
+            rows[d] = tuple(sorted(chain.from_iterable(linked)))
+        base = rows[d]
+        if _adjacent_orders(d, d):
             # class adjacent to itself: drop each vertex from its own row
-            for v in classes[d]:
+            for v in members:
                 at = bisect_left(base, v)
                 adjacency[v] = base[:at] + base[at + 1 :]
         else:
-            for v in classes[d]:
+            for v in members:
                 adjacency[v] = base
-    return SimpleGraph(tuple(adjacency), labels)
+    return SimpleGraph(tuple(adjacency), tuple(element_labels(group)))
 
 
-def induced_subgraph(graph: SimpleGraph, vertices) -> SimpleGraph:
-    """Subgraph induced by the given vertices, order inherited from the graph."""
-    keep = sorted(set(vertices))
-    if not keep:
-        raise ValueError("induced subgraph needs a nonempty vertex set")
-    if keep[0] < 0 or keep[-1] >= graph.vertex_count:
-        raise ValueError("vertex out of range")
-    position = {v: i for i, v in enumerate(keep)}
-    adjacency = tuple(
-        tuple(position[u] for u in graph.adjacency[v] if u in position) for v in keep
-    )
-    labels = None
-    if graph.labels is not None:
-        labels = tuple(graph.labels[v] for v in keep)
-    return SimpleGraph(adjacency, labels)
-
-
-def delete_vertices(graph: SimpleGraph, drop) -> SimpleGraph:
-    """Graph with the given vertices removed (complement may be empty)."""
-    gone = set(drop)
-    for v in gone:
-        if not (0 <= v < graph.vertex_count):
-            raise ValueError("vertex out of range")
-    keep = [v for v in range(graph.vertex_count) if v not in gone]
-    if not keep:
-        return empty_graph(0)
-    return induced_subgraph(graph, keep)
-
-
-def component_count(graph: SimpleGraph) -> int:
-    """Number of connected components."""
+def component_count(graph: SimpleGraph, removed=()) -> int:
+    """Number of connected components once the removed vertices (and their
+    edges) are deleted; 0 when every vertex is removed."""
     seen = bytearray(graph.vertex_count)
+    for v in removed:
+        if not 0 <= v < graph.vertex_count:
+            raise ValueError(f"vertex {v} out of range")
+        seen[v] = 1
     count = 0
     for root in range(graph.vertex_count):
         if seen[root]:

@@ -12,7 +12,7 @@ import math
 from itertools import combinations, permutations
 
 from primecoprime.groups import Family, GroupSpec, elements
-from primecoprime.pcgraph import SimpleGraph, from_edges
+from primecoprime.pcgraph import HJoinSpec, PartKind, SimpleGraph, from_edges
 
 
 def naive_is_prime(k: int) -> bool:
@@ -61,6 +61,31 @@ def naive_element_order(group: GroupSpec, element) -> int:
         acc = mul(acc, start)
         k += 1
     return k
+
+
+def cycle_graph(m: int) -> SimpleGraph:
+    """Cycle on m >= 3 vertices."""
+    assert m >= 3, "a cycle needs at least 3 vertices"
+    return from_edges(m, [(i, (i + 1) % m) for i in range(m)])
+
+
+def h_join(spec: HJoinSpec) -> SimpleGraph:
+    """Expand an HJoinSpec edge by edge: parts become blocks of consecutive
+    vertices, a complete part joins its own block, and two blocks are fully
+    joined exactly for pattern edges.  The reference that
+    verify_hjoin_structure is checked against."""
+    blocks, start = [], 0
+    for part in spec.parts:
+        blocks.append(range(start, start + part.size))
+        start += part.size
+    edges = []
+    for i, part in enumerate(spec.parts):
+        if part.kind is PartKind.COMPLETE:
+            edges += combinations(blocks[i], 2)
+        for j in spec.pattern.adjacency[i]:
+            if j > i:
+                edges += [(u, v) for u in blocks[i] for v in blocks[j]]
+    return from_edges(start, edges)
 
 
 def naive_theta(group: GroupSpec) -> SimpleGraph:

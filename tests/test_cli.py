@@ -83,6 +83,25 @@ def test_theta_capacity_exit(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "clique-cyclic", "5..6", "--clique-budget", "-1"),
+        ("verify", "ham-cyclic", "5..6", "--ham-budget", "-1"),
+        ("verify", "clique-cyclic", "5..6", "--vertex-cap", "-1"),
+        ("theta", "cyclic", "5", "--vertex-cap", "-1"),
+    ],
+    ids=["verify-clique-budget", "verify-ham-budget", "verify-vertex-cap", "theta-vertex-cap"],
+)
+def test_negative_budget_or_cap_is_a_usage_error(argv, capsys):
+    # a negative budget or cap is a mistyped option, not an exhausted budget
+    # (exit 4) or a graph over the cap (exit 3)
+    with pytest.raises(SystemExit) as info:
+        cli.main(list(argv))
+    assert info.value.code == 2
+    assert "must be >= 0, got -1" in capsys.readouterr().err
+
+
 def test_theta_usage_exit(capsys):
     code, out, err = run(capsys, "theta", "cyclic", "0")
     assert code == 2
@@ -136,6 +155,42 @@ def test_query_decompose_single_part(capsys):
     assert code == 0
     assert "parts: K5" in out
     assert "pattern-edges: none" in out
+
+
+# `query decompose` output for one n per catalog pattern
+DECOMPOSE_OUTPUT = {
+    ("cyclic", 5): "pattern: p\nprimes: 5\nexponents: 1\nparts: K5\n"
+                   "pattern-edges: none\nkl: 0,1\n",
+    ("cyclic", 15): "pattern: pq\nprimes: 3,5\nexponents: 1,1\nparts: K7,E8\n"
+                    "pattern-edges: 0-1\nkl: 1,1\n",
+    ("cyclic", 9): "pattern: p^m\nprimes: 3\nexponents: 2\nparts: K3,E6\n"
+                   "pattern-edges: 0-1\nkl: 1,1\n",
+    ("cyclic", 12): "pattern: pq^m\nprimes: 3,2\nexponents: 1,2\nparts: K4,E2,E2,E4\n"
+                    "pattern-edges: 0-1 0-2 0-3 1-2\nkl: 3,1\n",
+    ("cyclic", 36): "pattern: p^lq^m\nprimes: 2,3\nexponents: 2,2\n"
+                    "parts: K4,E2,E6,E2,E4,E6,E12\n"
+                    "pattern-edges: 0-1 0-2 0-3 0-4 0-5 0-6 1-2 1-3 1-5 2-3 2-4\nkl: 6,1\n",
+    ("cyclic", 30): "pattern: pqr\nprimes: 2,3,5\nexponents: 1,1,1\nparts: K8,E2,E8,E4,E8\n"
+                    "pattern-edges: 0-1 0-2 0-3 0-4 1-2 1-3 2-3\nkl: 4,1\n",
+    ("dicyclic", 7): "pattern: p\nprimes: 7\nexponents: 1\nparts: K8,E6,E14\n"
+                     "pattern-edges: 0-1 0-2 1-2\nkl: 2,1\n",
+    ("dicyclic", 10): "pattern: 2p\nprimes: 2,5\nexponents: 1,1\nparts: K6,E4,E8,E22\n"
+                      "pattern-edges: 0-1 0-2 0-3 1-3\nkl: 3,1\n",
+    ("dicyclic", 15): "pattern: pq\nprimes: 3,5\nexponents: 1,1\n"
+                      "parts: K8,E2,E4,E8,E8,E30\n"
+                      "pattern-edges: 0-1 0-2 0-3 0-4 0-5 1-2 1-3 1-5 2-3 2-5 3-5 4-5\n"
+                      "kl: 5,1\n",
+    ("dicyclic", 8): "pattern: 2^m\nprimes: 2\nexponents: 3\nparts: K2,E30\n"
+                     "pattern-edges: 0-1\nkl: 1,1\n",
+    ("dicyclic", 9): "pattern: p^m\nprimes: 3\nexponents: 2\nparts: K4,E2,E6,E6,E18\n"
+                     "pattern-edges: 0-1 0-2 0-3 0-4 1-2 1-4 2-4 3-4\nkl: 4,1\n",
+}
+
+
+@pytest.mark.parametrize("family,n", sorted(DECOMPOSE_OUTPUT), ids=lambda v: str(v))
+def test_query_decompose_every_pattern(family, n, capsys):
+    assert run(capsys, "query", "decompose", family, str(n)) == (
+        0, DECOMPOSE_OUTPUT[family, n], "")
 
 
 def test_query_decompose_not_covered(capsys):
@@ -365,6 +420,13 @@ def test_every_claim_runs(name, tmp_path, capsys):
     assert (code, err) == (0, "")
     assert report.read_text()
     assert hashlib.sha256(report.read_bytes()).hexdigest() == FIRST_TEN_SHA256[name]
+
+
+def test_default_report_pins_cover_every_claim():
+    # CI checks the default-range reports against these digests
+    pins = Path(__file__).with_name("default_reports.sha256").read_text().split()
+    assert sorted(pins[1::2]) == sorted(f"{name}.jsonl" for name in ver.CLAIMS)
+    assert all(re.fullmatch(r"[0-9a-f]{64}", digest) for digest in pins[::2])
 
 
 def test_verify_help_lists_every_claim(capsys, monkeypatch):

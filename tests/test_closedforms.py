@@ -4,7 +4,6 @@ import pytest
 
 from primecoprime.closedforms import (
     DecompositionEntry,
-    ExponentProfile,
     catalog_partition,
     clique_cyclic,
     clique_dicyclic,
@@ -31,7 +30,6 @@ from primecoprime.groups import (
     parse_element,
     s_indices,
 )
-from primecoprime.numtheory import factorize
 from primecoprime.oracles import (
     Verdict,
     dirac_check,
@@ -105,20 +103,12 @@ def test_clique_witness_z12():
 
 
 def test_exponent_profile():
-    profile = ExponentProfile.for_order(factorize(72), 12)
-    assert profile.beta == (2, 1)
-    assert profile.alpha == (3, 2)
-    assert profile.gamma == (1, 2)
-    assert ExponentProfile.for_order(factorize(72), 1).beta == (0, 0)
-
-
-def test_exponent_profile_errors():
-    with pytest.raises(ValueError):
-        ExponentProfile.for_order(factorize(72), 5)
-    with pytest.raises(ValueError):
-        ExponentProfile(factorize(12), (1,))  # misaligned beta
-    with pytest.raises(ValueError):
-        ExponentProfile(factorize(12), (3, 1))  # beta above alpha
+    # g6 in Z_72 = 2^3 3^2 has order 12 = 2^2 3: beta (2, 1), so gamma is
+    # (1, 2) and the expansion is 1 + (2^1 - 1) + (3^2 - 1); the exponents
+    # of 72 itself, (3, 2), would give 1 + 7 + 8
+    g6 = parse_element("g6")
+    assert degree_cyclic(72, g6) == 10
+    assert build_theta(cyclic(72)).degree(6) == 10
 
 
 def test_degree_frozen_examples():

@@ -11,19 +11,16 @@ from primecoprime.groups import (
     dicyclic,
     dihedral,
     element_at,
-    element_index,
     element_labels,
     element_order,
     element_orders,
     elements,
     is_epo,
-    order_class_counts,
+    order_classes,
     parse_element,
     s_indices,
-    s_set,
-    t_set,
 )
-from conftest import naive_element_order
+from conftest import naive_element_order, naive_is_prime
 
 
 def test_group_spec_validation():
@@ -57,9 +54,8 @@ def test_canonical_listing():
 
 def test_element_index_matches_listing():
     for group in (cyclic(7), dihedral(5), dicyclic(4)):
-        for i, e in enumerate(elements(group)):
-            assert element_index(group, e) == i
-            assert element_at(group, i) == e
+        for i, label in enumerate(element_labels(group)):
+            assert element_at(group, i) == parse_element(label)
         for bad in (-1, group.order):
             with pytest.raises(ValueError):
                 element_at(group, bad)
@@ -71,7 +67,7 @@ def test_membership_validation():
     with pytest.raises(ValueError):
         element_order(cyclic(5), GroupElement("g", 5))
     with pytest.raises(ValueError):
-        element_index(dicyclic(3), GroupElement("a", 6))
+        element_order(dicyclic(3), GroupElement("a", 6))
 
 
 SMALL_GROUPS = (
@@ -96,12 +92,45 @@ def test_element_labels_match_listing(group):
 
 
 def test_order_class_counts_z12():
-    assert order_class_counts(cyclic(12)) == {1: 1, 2: 1, 3: 2, 4: 2, 6: 2, 12: 4}
+    classes = order_classes(cyclic(12))
+    counts = {d: len(members) for (d, _), members in classes.items()}
+    assert counts == {1: 1, 2: 1, 3: 2, 4: 2, 6: 2, 12: 4}
+    # classes come in the order of their first element
+    assert list(classes) == [(1, False), (12, False), (6, False), (4, False),
+                             (3, False), (2, False)]
+    assert classes[(12, False)] == [1, 5, 7, 11]
 
 
 def test_dihedral_reflections_all_order_two():
-    counts = order_class_counts(dihedral(9))
-    assert counts[2] == 9  # the reflections; 9 is odd so no rotation joins them
+    classes = order_classes(dihedral(9))
+    assert classes[(2, True)] == list(range(9, 18))  # the reflections
+    assert (2, False) not in classes  # 9 is odd, so no rotation has order 2
+    assert order_classes(dihedral(10))[(2, False)] == [5]
+
+
+def _groups_up_to(family, order):
+    return [GroupSpec(family, n)
+            for n in range(family.min_n, order // family.order_factor + 1)]
+
+
+@pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+def test_order_classes_against_multiplication(family):
+    for group in _groups_up_to(family, 200):
+        classes = order_classes(group)
+        # the classes partition the canonical indices, each class ascending
+        assert sorted(v for members in classes.values() for v in members) == list(
+            range(group.order)
+        )
+        naive = [naive_element_order(group, e) for e in elements(group)]
+        for (d, outside), members in classes.items():
+            assert members == sorted(members)
+            for v in members:
+                assert naive[v] == d, (group, v)
+                assert outside == (family is not Family.CYCLIC and v >= group.order // 2)
+        one_or_prime = {d: d == 1 or naive_is_prime(d) for d in set(naive)}
+        s = tuple(v for v, d in enumerate(naive) if one_or_prime[d])
+        assert s_indices(group) == s, group
+        assert is_epo(group) == all(one_or_prime.values()), group
 
 
 def test_dicyclic_outside_elements():
@@ -113,11 +142,9 @@ def test_dicyclic_outside_elements():
 
 
 def test_s_set_examples():
-    assert {e.text() for e in s_set(cyclic(4))} == {"g0", "g2"}
-    assert s_indices(cyclic(4)) == (0, 2)
-    assert {e.text() for e in t_set(cyclic(4))} == {"g1", "g3"}
+    assert s_indices(cyclic(4)) == (0, 2)  # g0, g2
     # dicyclic: the s elements all live inside the cyclic part
-    assert all(e.kind == "a" for e in s_set(dicyclic(5)))
+    assert all(v < 10 for v in s_indices(dicyclic(5)))
 
 
 def test_is_epo_examples():

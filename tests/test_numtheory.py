@@ -10,7 +10,6 @@ from primecoprime.numtheory import (
     divisors,
     euler_phi,
     factorize,
-    gcd,
     is_prime,
     phi_sum_expansion,
     _factorizations,
@@ -33,13 +32,6 @@ def test_is_prime_matches_naive_scan():
 def test_is_prime_rejects_nonpositive():
     with pytest.raises(ValueError):
         is_prime(0)
-
-
-def test_gcd_validates_and_delegates():
-    assert gcd(12, 18) == 6
-    assert gcd(1, 1) == 1
-    with pytest.raises(ValueError):
-        gcd(0, 5)
 
 
 def test_factorize_known_values():

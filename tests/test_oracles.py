@@ -21,13 +21,12 @@ from primecoprime.oracles import (
 from primecoprime.pcgraph import (
     build_theta,
     complete,
-    cycle_graph,
     empty_graph,
     from_edges,
     join,
 )
 from primecoprime.verification import run_clique, run_epo_complete
-from conftest import assert_valid_cycle, brute_hamiltonian, brute_max_clique
+from conftest import assert_valid_cycle, brute_hamiltonian, brute_max_clique, cycle_graph
 
 
 def petersen():

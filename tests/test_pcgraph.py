@@ -16,20 +16,16 @@ from primecoprime.pcgraph import (
     build_theta,
     complete,
     component_count,
-    cycle_graph,
-    delete_vertices,
     empty_graph,
     from_edges,
     graph_to_dot,
     graph_to_json,
-    h_join,
-    induced_subgraph,
     is_complete,
     join,
     validate_partition,
     verify_hjoin_structure,
 )
-from conftest import naive_theta
+from conftest import cycle_graph, h_join, naive_theta
 
 K = PartKind.COMPLETE
 E = PartKind.EMPTY
@@ -104,6 +100,34 @@ def test_build_theta_labels_and_cap():
         build_theta(cyclic(100), vertex_cap=99)
 
 
+@st.composite
+def hjoin_specs(draw):
+    m = draw(st.integers(1, 4))
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    edges = [pair for pair in pairs if draw(st.booleans())]
+    parts = tuple(HJoinPart(draw(st.sampled_from([K, E])), draw(st.integers(1, 3)))
+                  for _ in range(m))
+    return HJoinSpec(from_edges(m, edges), parts)
+
+
+@given(hjoin_specs(), st.data())
+def test_verify_hjoin_structure_against_reference(spec, data):
+    # blocks of consecutive vertices, as conftest.h_join lays them out
+    graph = h_join(spec)
+    partition, start = [], 0
+    for part in spec.parts:
+        partition.append(tuple(range(start, start + part.size)))
+        start += part.size
+    assert verify_hjoin_structure(graph, partition, spec).ok
+    if graph.vertex_count >= 2:
+        # toggling any one pair breaks the structure
+        u, v = sorted(data.draw(st.lists(st.integers(0, graph.vertex_count - 1),
+                                         min_size=2, max_size=2, unique=True)))
+        edges = {(a, b) for a in range(graph.vertex_count) for b in graph.adjacency[a] if a < b}
+        toggled = from_edges(graph.vertex_count, sorted(edges ^ {(u, v)}))
+        assert not verify_hjoin_structure(toggled, partition, spec).ok
+
+
 def test_theta_z4_as_h_join():
     g = build_theta(cyclic(4))
     spec = HJoinSpec(from_edges(2, [(0, 1)]),
@@ -150,24 +174,18 @@ def test_induced_subgraph_composite_orders_z12():
     # not an independent set: they induce a 4-cycle (orders 4 vs 6) plus the
     # four isolated order-12 elements
     g = build_theta(cyclic(12))
-    composite = [3, 9, 2, 10, 1, 5, 7, 11]  # orders 4, 4, 6, 6, 12, 12, 12, 12
-    sub = induced_subgraph(g, composite)
-    assert sub.vertex_count == 8
-    assert sub.edge_count() == 4
-    assert component_count(sub) == 5
-    assert sub.labels == ("g1", "g2", "g3", "g5", "g7", "g9", "g10", "g11")
-    with pytest.raises(ValueError):
-        induced_subgraph(g, [])
-    with pytest.raises(ValueError):
-        induced_subgraph(g, [99])
+    s = s_indices(cyclic(12))
+    assert s == (0, 4, 6, 8)  # orders 1, 3, 2, 3
+    assert component_count(g, removed=s) == 5
+    for bad in ([99], [-1]):
+        with pytest.raises(ValueError):
+            component_count(g, removed=bad)
 
 
 def test_delete_vertices_z9():
+    # Z_9 without its order-1 and order-3 elements: six isolated order-9 elements
     g = build_theta(cyclic(9))
-    rest = delete_vertices(g, s_indices(cyclic(9)))
-    assert rest.vertex_count == 6
-    assert rest.edge_count() == 0
-    assert component_count(rest) == 6
+    assert component_count(g, removed=s_indices(cyclic(9))) == 6
 
 
 def test_component_count():
@@ -176,6 +194,9 @@ def test_component_count():
     assert component_count(empty_graph(0)) == 0
     two = from_edges(5, [(0, 1), (2, 3)])
     assert component_count(two) == 3
+    assert component_count(two, removed=(1, 2)) == 3
+    assert component_count(two, removed=range(5)) == 0
+    assert component_count(cycle_graph(6), removed=(0, 3)) == 2
 
 
 def test_theta_degrees_of_dominating_elements():
