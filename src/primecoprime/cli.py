@@ -113,7 +113,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     print(f"pattern: {entry.pattern}")
     print("primes: " + ",".join(str(p) for p in entry.primes))
     print("exponents: " + ",".join(str(e) for e in entry.exponents))
-    print("parts: " + entry.hjoin.describe())
+    print("parts: " + entry.describe())
     edges = " ".join(f"{u}-{v}" for u, v in entry.pattern_edges)
     print("pattern-edges: " + (edges or "none"))
     print(f"kl: {entry.kl[0]},{entry.kl[1]}")

@@ -6,9 +6,12 @@ Catalog coverage, by the factorization shape of the parameter n:
   cyclic / dihedral   p, pq, p^m (m>=2), pq^m (m>=2), p^lq^m (l,m>=2), pqr
   dicyclic            2^m (m>=1), p, 2p, pq, p^m (m>=2) with p, q odd primes
 
-Everything else is reported as not covered (None).  Part 0 of every catalog
-entry is the clique on the identity and prime-order elements; the remaining
-parts are independent sets collecting the composite order classes.
+Everything else is reported as not covered (None).  Every catalog entry is
+a (k, 1)-partition laid out as an H-join, and the graph fixes each part's
+kind: part 0 is the clique on the identity and prime-order elements, and
+every other part is an independent set of composite order classes (two
+elements of one composite order d share the composite gcd d).  An entry
+holds only the part sizes and the pattern edges.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from .groups import (
     order_classes,
 )
 from .numtheory import Factorization, factorize, is_prime
-from .pcgraph import HJoinPart, HJoinSpec, PartKind, from_edges
 
 __all__ = [
     "clique_cyclic",
@@ -291,14 +293,10 @@ class DecompositionEntry:
         independent sets."""
         return len(self.sizes) - 1, 1
 
-    @property
-    def hjoin(self) -> HJoinSpec:
-        """The H-join layout; raises ValueError when a part size is not positive."""
-        kinds = [PartKind.COMPLETE] + [PartKind.EMPTY] * (len(self.sizes) - 1)
-        return HJoinSpec(
-            from_edges(len(self.sizes), self.pattern_edges),
-            tuple(HJoinPart(kind, size) for kind, size in zip(kinds, self.sizes)),
-        )
+    def describe(self) -> str:
+        """The parts as text, e.g. K4,E2,E2,E4: the clique part, then the
+        independent ones."""
+        return ",".join(f"{'E' if i else 'K'}{size}" for i, size in enumerate(self.sizes))
 
 
 def _cd_part_sizes(
@@ -516,7 +514,7 @@ def _dic_part_of(pattern: str, primes: tuple[int, ...], outside: bool, d: int) -
 
 def catalog_partition(entry: DecompositionEntry) -> tuple[tuple[int, ...], ...]:
     """Vertex partition of build_theta(GroupSpec(entry.family, entry.n)) that
-    realizes entry.hjoin, parts aligned with entry.sizes, each ascending.
+    realizes the entry's H-join, parts aligned with entry.sizes, each ascending.
     Each order class goes to its part whole; whether the parts come out at
     entry.sizes is left to the caller (run_decomp checks it)."""
     buckets: list[list[int]] = [[] for _ in entry.sizes]

@@ -63,7 +63,8 @@ _KIND_FAMILY = {
     "ab": Family.DICYCLIC,
 }
 
-_ELEMENT_RE = re.compile(r"^(?:([grs])(\d+)|a(\d+)(b?))$")
+# the index is written without leading zeros, so every element has one label
+_ELEMENT_RE = re.compile(r"([grs])(0|[1-9][0-9]*)|a(0|[1-9][0-9]*)(b?)")
 
 
 @dataclass(frozen=True, order=True)
@@ -91,7 +92,7 @@ class GroupElement:
 
 def parse_element(text: str) -> GroupElement:
     """Parse a canonical element label such as g5, r2, s0, a7 or a3b."""
-    m = _ELEMENT_RE.match(text)
+    m = _ELEMENT_RE.fullmatch(text)
     if m is None:
         raise ValueError(f"cannot parse element label {text!r}")
     if m.group(1) is not None:

@@ -5,6 +5,10 @@ prime coprime graph depends only on element orders, so build_theta walks the
 order classes (groups.order_classes), assembles one neighbor tuple per order
 and shares it across its classes; only classes adjacent to themselves
 (order 1 or prime) need a per-vertex copy with the vertex itself removed.
+
+verify_hjoin_structure checks the layout the graph forces: part 0 a clique
+(the identity and the prime-order elements), every other part an independent
+set of composite order classes, joined along the given pattern edges.
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ import json
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from enum import Enum
 from itertools import chain
 
 from .groups import GroupSpec, element_labels, order_classes
@@ -27,9 +30,6 @@ __all__ = [
     "complete",
     "from_edges",
     "join",
-    "PartKind",
-    "HJoinPart",
-    "HJoinSpec",
     "build_theta",
     "component_count",
     "is_complete",
@@ -105,28 +105,23 @@ class SimpleGraph:
         return f"SimpleGraph(vertices={self.vertex_count}, edges={self.edge_count()})"
 
 
-def empty_graph(m: int, labels: tuple[str, ...] | None = None) -> SimpleGraph:
+def empty_graph(m: int) -> SimpleGraph:
     """Edgeless graph on m vertices."""
     if m < 0:
         raise ValueError("vertex count must be >= 0")
-    return SimpleGraph(((),) * m, labels)
+    return SimpleGraph(((),) * m)
 
 
-def complete(m: int, labels: tuple[str, ...] | None = None) -> SimpleGraph:
+def complete(m: int) -> SimpleGraph:
     """Complete graph on m vertices."""
     if m < 0:
         raise ValueError("vertex count must be >= 0")
     base = tuple(range(m))
-    return SimpleGraph(
-        tuple(base[:v] + base[v + 1 :] for v in range(m)),
-        labels,
-    )
+    return SimpleGraph(tuple(base[:v] + base[v + 1 :] for v in range(m)))
 
 
 def from_edges(
-    m: int,
-    edges: list[tuple[int, int]] | tuple[tuple[int, int], ...],
-    labels: tuple[str, ...] | None = None,
+    m: int, edges: list[tuple[int, int]] | tuple[tuple[int, int], ...]
 ) -> SimpleGraph:
     """Graph on m vertices with the given edges (validated, deduplicated)."""
     if m < 0:
@@ -139,7 +134,7 @@ def from_edges(
             raise ValueError(f"self-loop at vertex {u}")
         nbrs[u].add(v)
         nbrs[v].add(u)
-    return SimpleGraph(tuple(tuple(sorted(s)) for s in nbrs), labels)
+    return SimpleGraph(tuple(tuple(sorted(s)) for s in nbrs))
 
 
 def join(a: SimpleGraph, b: SimpleGraph) -> SimpleGraph:
@@ -150,49 +145,7 @@ def join(a: SimpleGraph, b: SimpleGraph) -> SimpleGraph:
     adjacency = tuple(row + cross_b for row in a.adjacency) + tuple(
         cross_a + tuple(v + na for v in row) for row in b.adjacency
     )
-    labels = None
-    if a.labels is not None and b.labels is not None:
-        labels = a.labels + b.labels
-    return SimpleGraph(adjacency, labels)
-
-
-class PartKind(Enum):
-    COMPLETE = "K"
-    EMPTY = "E"
-
-
-@dataclass(frozen=True)
-class HJoinPart:
-    kind: PartKind
-    size: int
-
-    def __post_init__(self) -> None:
-        if self.size < 1:
-            raise ValueError("parts must be nonempty")
-
-    def describe(self) -> str:
-        return f"{self.kind.value}{self.size}"
-
-
-@dataclass(frozen=True)
-class HJoinSpec:
-    """Pattern graph H plus one complete/empty part per pattern vertex."""
-
-    pattern: SimpleGraph
-    parts: tuple[HJoinPart, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.parts) < 1:
-            raise ValueError("an H-join needs at least one part")
-        if self.pattern.vertex_count != len(self.parts):
-            raise ValueError("pattern order must match the number of parts")
-
-    @property
-    def total_size(self) -> int:
-        return sum(p.size for p in self.parts)
-
-    def describe(self) -> str:
-        return ",".join(p.describe() for p in self.parts)
+    return SimpleGraph(adjacency)
 
 
 def _adjacent_orders(d1: int, d2: int) -> bool:
@@ -290,26 +243,24 @@ class HJoinCheck:
         return self.ok
 
 
-def verify_hjoin_structure(graph: SimpleGraph, partition, spec: HJoinSpec) -> HJoinCheck:
-    """Decide whether graph equals the H-join of spec under the partition.
+def verify_hjoin_structure(graph: SimpleGraph, partition, pattern_edges) -> HJoinCheck:
+    """Decide whether graph is the H-join of the partition's parts: part 0 a
+    clique, every other part an independent set, and parts i < j fully
+    joined when (i, j) is a pattern edge and with no edges between them
+    otherwise.
 
-    The partition parts must align one to one with spec.parts (same sizes,
-    same order); a shape mismatch is an error, a structural mismatch is a
-    False result with a witness.
+    A pattern edge that does not join two parts is an error; a structural
+    mismatch is a False result with a witness.
     """
     parts = validate_partition(partition, graph.vertex_count)
-    if len(parts) != len(spec.parts):
-        raise ValueError("partition and spec have different part counts")
-    for i, (part, pspec) in enumerate(zip(parts, spec.parts)):
-        if len(part) != pspec.size:
-            raise ValueError(
-                f"part {i} has {len(part)} vertices, spec says {pspec.size}"
-            )
+    joined = set(pattern_edges)
+    if not all(0 <= i < j < len(parts) for i, j in joined):
+        raise ValueError(f"pattern edges {sorted(joined)} do not fit {len(parts)} parts")
     nbrs = graph.neighbor_sets()
-    for i, (part, pspec) in enumerate(zip(parts, spec.parts)):
+    for i, part in enumerate(parts):
         members = frozenset(part)
         for u in part:
-            if pspec.kind is PartKind.COMPLETE:
+            if i == 0:
                 missing = members - nbrs[u] - {u}
                 if missing:
                     return HJoinCheck(False, "part-complete", (i,), (u, min(missing)))
@@ -319,7 +270,7 @@ def verify_hjoin_structure(graph: SimpleGraph, partition, spec: HJoinSpec) -> HJ
                     return HJoinCheck(False, "part-empty", (i,), (u, min(inside)))
     for i in range(len(parts)):
         for j in range(i + 1, len(parts)):
-            expected = spec.pattern.has_edge(i, j)
+            expected = (i, j) in joined
             other = frozenset(parts[j])
             for u in parts[i]:
                 if expected:

@@ -12,7 +12,7 @@ import math
 from itertools import combinations, permutations
 
 from primecoprime.groups import Family, GroupSpec, elements
-from primecoprime.pcgraph import HJoinSpec, PartKind, SimpleGraph, from_edges
+from primecoprime.pcgraph import SimpleGraph, from_edges
 
 
 def naive_is_prime(k: int) -> bool:
@@ -69,22 +69,19 @@ def cycle_graph(m: int) -> SimpleGraph:
     return from_edges(m, [(i, (i + 1) % m) for i in range(m)])
 
 
-def h_join(spec: HJoinSpec) -> SimpleGraph:
-    """Expand an HJoinSpec edge by edge: parts become blocks of consecutive
-    vertices, a complete part joins its own block, and two blocks are fully
-    joined exactly for pattern edges.  The reference that
-    verify_hjoin_structure is checked against."""
+def h_join(sizes, pattern_edges) -> SimpleGraph:
+    """Expand an H-join edge by edge: parts of the given sizes become blocks
+    of consecutive vertices, part 0 joins its own block into a clique, the
+    other parts stay independent, and two blocks are fully joined exactly
+    for pattern edges.  The reference that verify_hjoin_structure is checked
+    against."""
     blocks, start = [], 0
-    for part in spec.parts:
-        blocks.append(range(start, start + part.size))
-        start += part.size
-    edges = []
-    for i, part in enumerate(spec.parts):
-        if part.kind is PartKind.COMPLETE:
-            edges += combinations(blocks[i], 2)
-        for j in spec.pattern.adjacency[i]:
-            if j > i:
-                edges += [(u, v) for u in blocks[i] for v in blocks[j]]
+    for size in sizes:
+        blocks.append(range(start, start + size))
+        start += size
+    edges = list(combinations(blocks[0], 2))
+    for i, j in pattern_edges:
+        edges += [(u, v) for u in blocks[i] for v in blocks[j]]
     return from_edges(start, edges)
 
 

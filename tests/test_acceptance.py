@@ -3,7 +3,10 @@
 Each test covers one release criterion at full scale: the closed forms must
 agree with the independent searches over the stated parameter ranges, inside
 the stated time budgets, and the verification reports must be byte
-deterministic.  One line per criterion is printed on success.
+deterministic.  One line per criterion is printed on success.  The criteria
+run the claims of verification.CLAIMS over their default ranges, as
+`pcg verify CLAIM` does, apart from criterion 5, whose per-group degree
+totals over wider ranges no claim runs.
 """
 
 import time
@@ -29,6 +32,12 @@ class Timer:
         self.elapsed = time.perf_counter() - self.start
 
 
+def run_claim(name):
+    """Unsorted records of the claim over its default range."""
+    claim = ver.CLAIMS[name]
+    return claim.run(*claim.default)
+
+
 def all_pass(records):
     bad = [r for r in records if r.verdict != "pass"]
     assert not bad, "\n" + ver.summary_table(bad)
@@ -44,26 +53,20 @@ def report(number, detail, timer, budget):
 
 def test_criterion_1_phi_sum_identity():
     with Timer() as t:
-        checked = all_pass(ver.run_phi_sum(2, 100000))
+        checked = all_pass(run_claim("phi-sum"))
     assert checked == 99999
     report(1, f"totient divisor sums match for 2..100000, {checked} checks", t, 10)
 
 
 def test_criterion_2_dominating_set():
     with Timer() as t:
-        checked = sum(
-            all_pass(ver.run_dominating_set(family, 1, 400, by_order=True))
-            for family in (CYCLIC, DIHEDRAL, DICYCLIC)
-        )
+        checked = all_pass(run_claim("dominating-set"))
     report(2, f"dominating vertices equal the prime-order set, {checked} groups", t, 30)
 
 
 def test_criterion_3_epo_iff_complete():
     with Timer() as t:
-        checked = sum(
-            all_pass(ver.run_epo_complete(family, 1, 400, by_order=True))
-            for family in (CYCLIC, DIHEDRAL, DICYCLIC)
-        )
+        checked = all_pass(run_claim("epo-complete"))
         for p in (3, 5, 7, 11):
             assert build_theta(dihedral(p)) == complete(2 * p)
     report(3, f"prime-order groups are exactly the complete graphs, {checked} groups", t, 30)
@@ -71,9 +74,8 @@ def test_criterion_3_epo_iff_complete():
 
 def test_criterion_4_clique_numbers():
     with Timer() as t:
-        checked = all_pass(ver.run_clique(CYCLIC, 2, 100))
-        checked += all_pass(ver.run_clique(DIHEDRAL, 3, 50))
-        checked += all_pass(ver.run_clique(DICYCLIC, 2, 50))
+        checked = sum(all_pass(run_claim(name))
+                      for name in ("clique-cyclic", "clique-dihedral", "clique-dicyclic"))
     report(4, f"clique formulas match exact search, {checked} graphs", t, 300)
 
 
@@ -99,19 +101,18 @@ def _revalidate_ham_certificates(records):
 
 def test_criterion_6_hamiltonicity():
     with Timer() as t:
-        search_cyclic = ver.run_ham(CYCLIC, 3, 60)
-        search_dicyclic = ver.run_ham(DICYCLIC, 2, 30)
-        checked = all_pass(search_cyclic) + all_pass(search_dicyclic)
-        _revalidate_ham_certificates(search_cyclic + search_dicyclic)
-        checked += all_pass(ver.run_ham_cut(CYCLIC, 1, 200))
-        checked += all_pass(ver.run_ham_cut(DICYCLIC, 2, 100))
-        checked += all_pass(ver.run_ham(DIHEDRAL, 3, 200))
+        search = run_claim("ham-cyclic") + run_claim("ham-dicyclic")
+        checked = all_pass(search)
+        _revalidate_ham_certificates(search)
+        checked += all_pass(run_claim("ham-cut-cyclic"))
+        checked += all_pass(run_claim("ham-cut-dicyclic"))
+        checked += all_pass(run_claim("ham-dihedral"))
     report(6, f"Hamiltonicity characterizations with certificates, {checked} checks", t, 300)
 
 
 def test_criterion_7_decomposition_catalog():
     with Timer() as t:
-        records = ver.run_decomp([CYCLIC, DIHEDRAL, DICYCLIC], 1, 600, by_order=True)
+        records = run_claim("decomp-all")
         checked = all_pass(records)
         covered = {(r.family, r.n) for r in records}
         wanted = (
@@ -126,8 +127,8 @@ def test_criterion_7_decomposition_catalog():
 
 def test_criterion_8_join_identities():
     with Timer() as t:
-        checked = all_pass(ver.run_join_equality(DIHEDRAL, 3, 100))
-        records = ver.run_join_equality(DICYCLIC, 3, 99)
+        checked = all_pass(run_claim("dihedral-join"))
+        records = run_claim("dicyclic-join")
         assert [r.n for r in records] == list(range(3, 100, 2))
         checked += all_pass(records)
     report(8, f"join identities hold as exact graph equalities, {checked} graphs", t, 60)

@@ -8,6 +8,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from importlib import metadata
 from pathlib import Path
@@ -198,8 +199,10 @@ def test_query_decompose_not_covered(capsys):
 
 
 def test_query_bad_element_label(capsys):
-    code, out, err = run(capsys, "query", "degree", "cyclic", "12", "x9")
-    assert code == 2 and "error:" in err
+    # a label with a leading zero is not canonical: g01 is no name for g1
+    for family, label in (("cyclic", "x9"), ("cyclic", "g01"), ("dicyclic", "a07b")):
+        code, out, err = run(capsys, "query", "degree", family, "12", label)
+        assert (code, out) == (2, "") and "error:" in err, label
 
 
 # ---------------------------------------------------------------------------
@@ -367,6 +370,10 @@ _RANGES = _mostly(
                      "2..3-by-order", "1..12-by-group-order-"]),
 )
 _BUDGET = _mostly(st.integers(-2, 10**4), st.sampled_from(["x", "1e3", ""])).map(str)
+_VERTEX_CAP = _mostly(st.integers(-1, 200), st.just("cap")).map(str)
+_FAMILY = _mostly(st.sampled_from(["cyclic", "dihedral", "dicyclic"]), st.just("klein"))
+# stands for a fresh temporary directory in an -o path
+_TMP = "<tmp>"
 
 
 @st.composite
@@ -378,7 +385,7 @@ def verify_argv(draw):
                             st.just("klein")),
         "--clique-budget": _BUDGET,
         "--ham-budget": _BUDGET,
-        "--vertex-cap": _mostly(st.integers(-1, 200), st.just("cap")).map(str),
+        "--vertex-cap": _VERTEX_CAP,
     }
     for flag, values in options.items():
         if draw(st.booleans()):
@@ -389,8 +396,7 @@ def verify_argv(draw):
 @st.composite
 def query_argv(draw):
     what = draw(st.sampled_from(["clique", "degree", "hamiltonian", "decompose"]))
-    family = draw(_mostly(st.sampled_from(["cyclic", "dihedral", "dicyclic"]), st.just("klein")))
-    argv = ["query", what, family, str(draw(st.integers(-2, 10**4)))]
+    argv = ["query", what, draw(_FAMILY), str(draw(st.integers(-2, 10**4)))]
     if draw(st.booleans()):
         label = st.builds("{}{}{}".format, st.sampled_from(["g", "r", "s", "a", "b", "x", ""]),
                           st.integers(-1, 100), st.sampled_from(["", "b"]))
@@ -398,13 +404,28 @@ def query_argv(draw):
     return argv
 
 
+@st.composite
+def theta_argv(draw):
+    # n stays at most 300 (1200 vertices for Q_300), so every build is small
+    argv = ["theta", draw(_FAMILY), str(draw(st.integers(-2, 300)))]
+    options = {
+        "--format": _mostly(st.sampled_from(["dot", "json"]), st.just("svg")),
+        "--vertex-cap": _VERTEX_CAP,
+        "-o": st.sampled_from([f"{_TMP}/theta.out", f"{_TMP}/missing/theta.out"]),
+    }
+    for flag, values in options.items():
+        if draw(st.booleans()):
+            argv += [flag, draw(values)]
+    return argv
+
+
 @settings(max_examples=250, deadline=None)
-@given(st.one_of(verify_argv(), query_argv()))
+@given(st.one_of(verify_argv(), query_argv(), theta_argv()))
 def test_argv_ends_in_a_documented_exit_code(argv):
     out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
+    with tempfile.TemporaryDirectory() as tmp, redirect_stdout(out), redirect_stderr(err):
         try:
-            code = cli.main(argv)
+            code = cli.main([arg.replace(_TMP, tmp) for arg in argv])
         except SystemExit as exc:  # argparse rejects the option values
             code = exc.code
     assert code in range(5), (argv, code, err.getvalue())

@@ -278,9 +278,9 @@ def test_catalog_entry(family, n, pattern, parts, kl):
     entry = decomposition_catalog(family, n)
     assert isinstance(entry, DecompositionEntry)
     assert entry.pattern == pattern
-    assert entry.hjoin.describe() == parts
+    assert entry.describe() == parts
     assert entry.kl == kl
-    assert entry.hjoin.total_size == GroupSpec(family, n).order
+    assert sum(entry.sizes) == GroupSpec(family, n).order
 
 
 @pytest.mark.parametrize(
@@ -294,7 +294,7 @@ def test_catalog_entry_matches_graph(family, n, pattern, parts, kl):
     theta = build_theta(group)
     partition = catalog_partition(entry)
     assert partition[0] == s_indices(group)
-    assert verify_hjoin_structure(theta, partition, entry.hjoin).ok
+    assert verify_hjoin_structure(theta, partition, entry.pattern_edges).ok
     k, l = entry.kl
     assert kl_partition_check(theta, partition, k, l)
 

@@ -38,7 +38,7 @@ def test_group_spec_validation():
 def test_element_parsing_round_trip():
     for text in ("g0", "g15", "r2", "s0", "a7", "a3b"):
         assert parse_element(text).text() == text
-    for bad in ("", "g", "x3", "ab", "a3bb", "r-1", "3g"):
+    for bad in ("", "g", "x3", "ab", "a3bb", "r-1", "3g", "g01", "a007b", "s00", "g1\n"):
         with pytest.raises(ValueError):
             parse_element(bad)
 
@@ -89,6 +89,12 @@ def test_orders_match_multiplication(group):
 @pytest.mark.parametrize("group", SMALL_GROUPS, ids=str)
 def test_element_labels_match_listing(group):
     assert element_labels(group) == [e.text() for e in elements(group)]
+
+
+def test_every_label_parses_back_to_itself():
+    for group in SMALL_GROUPS:
+        for label in element_labels(group):
+            assert parse_element(label).text() == label
 
 
 def test_order_class_counts_z12():

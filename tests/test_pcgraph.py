@@ -9,9 +9,6 @@ from primecoprime.groups import cyclic, dicyclic, dihedral, s_indices
 from primecoprime.pcgraph import (
     CapacityError,
     HJoinCheck,
-    HJoinPart,
-    HJoinSpec,
-    PartKind,
     SimpleGraph,
     build_theta,
     complete,
@@ -26,9 +23,6 @@ from primecoprime.pcgraph import (
     verify_hjoin_structure,
 )
 from conftest import cycle_graph, h_join, naive_theta
-
-K = PartKind.COMPLETE
-E = PartKind.EMPTY
 
 
 def test_from_edges_validation():
@@ -65,16 +59,12 @@ def test_join_edge_count(na, nb):
 
 
 def test_h_join_matches_plain_join():
-    spec = HJoinSpec(from_edges(2, [(0, 1)]),
-                     (HJoinPart(K, 2), HJoinPart(E, 2)))
-    assert h_join(spec) == join(complete(2), empty_graph(2))
+    assert h_join((2, 2), [(0, 1)]) == join(complete(2), empty_graph(2))
 
 
 def test_h_join_edge_count_formula():
-    pattern = from_edges(3, [(0, 1), (1, 2)])
-    parts = (HJoinPart(K, 3), HJoinPart(E, 4), HJoinPart(K, 2))
-    g = h_join(HJoinSpec(pattern, parts))
-    internal = 3 + 0 + 1
+    g = h_join((3, 4, 2), [(0, 1), (1, 2)])
+    internal = 3 + 0 + 0
     cross = 3 * 4 + 4 * 2
     assert g.edge_count() == internal + cross
     # no edges between the non-adjacent outer parts
@@ -101,62 +91,55 @@ def test_build_theta_labels_and_cap():
 
 
 @st.composite
-def hjoin_specs(draw):
-    m = draw(st.integers(1, 4))
-    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
-    edges = [pair for pair in pairs if draw(st.booleans())]
-    parts = tuple(HJoinPart(draw(st.sampled_from([K, E])), draw(st.integers(1, 3)))
-                  for _ in range(m))
-    return HJoinSpec(from_edges(m, edges), parts)
+def hjoin_shapes(draw):
+    """Part sizes (part 0 the clique) and the pattern edges between parts."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    pairs = [(i, j) for i in range(len(sizes)) for j in range(i + 1, len(sizes))]
+    return sizes, [pair for pair in pairs if draw(st.booleans())]
 
 
-@given(hjoin_specs(), st.data())
-def test_verify_hjoin_structure_against_reference(spec, data):
+@given(hjoin_shapes(), st.data())
+def test_verify_hjoin_structure_against_reference(shape, data):
     # blocks of consecutive vertices, as conftest.h_join lays them out
-    graph = h_join(spec)
+    sizes, edges = shape
+    graph = h_join(sizes, edges)
     partition, start = [], 0
-    for part in spec.parts:
-        partition.append(tuple(range(start, start + part.size)))
-        start += part.size
-    assert verify_hjoin_structure(graph, partition, spec).ok
+    for size in sizes:
+        partition.append(tuple(range(start, start + size)))
+        start += size
+    assert verify_hjoin_structure(graph, partition, edges).ok
     if graph.vertex_count >= 2:
         # toggling any one pair breaks the structure
         u, v = sorted(data.draw(st.lists(st.integers(0, graph.vertex_count - 1),
                                          min_size=2, max_size=2, unique=True)))
-        edges = {(a, b) for a in range(graph.vertex_count) for b in graph.adjacency[a] if a < b}
-        toggled = from_edges(graph.vertex_count, sorted(edges ^ {(u, v)}))
-        assert not verify_hjoin_structure(toggled, partition, spec).ok
+        present = {(a, b) for a in range(graph.vertex_count) for b in graph.adjacency[a] if a < b}
+        toggled = from_edges(graph.vertex_count, sorted(present ^ {(u, v)}))
+        assert not verify_hjoin_structure(toggled, partition, edges).ok
 
 
 def test_theta_z4_as_h_join():
     g = build_theta(cyclic(4))
-    spec = HJoinSpec(from_edges(2, [(0, 1)]),
-                     (HJoinPart(K, 2), HJoinPart(E, 2)))
     # orders (1, 2) sit at g0 and g2; orders 4 at g1 and g3
-    assert verify_hjoin_structure(g, [(0, 2), (1, 3)], spec).ok
+    assert verify_hjoin_structure(g, [(0, 2), (1, 3)], [(0, 1)]).ok
 
 
 def test_verify_hjoin_witnesses():
     g = build_theta(cyclic(4))
-    pair = from_edges(2, [(0, 1)])
-    no_edge = from_edges(2, [])
-    spec_k = HJoinSpec(pair, (HJoinPart(K, 2), HJoinPart(E, 2)))
     # wrong split: part {g0, g1} is complete but {g2, g3} is not independent
-    res = verify_hjoin_structure(g, [(0, 1), (2, 3)], spec_k)
+    res = verify_hjoin_structure(g, [(0, 1), (2, 3)], [(0, 1)])
     assert not res.ok and res.clause == "part-empty" and res.vertex_pair == (2, 3)
     # claiming no cross edges must fail immediately
-    res = verify_hjoin_structure(
-        g, [(0, 2), (1, 3)], HJoinSpec(no_edge, (HJoinPart(K, 2), HJoinPart(E, 2)))
-    )
+    res = verify_hjoin_structure(g, [(0, 2), (1, 3)], [])
     assert not res.ok and res.clause == "cross-extra"
-    # claiming completeness of an independent part
-    res = verify_hjoin_structure(
-        g, [(1, 3), (0, 2)],
-        HJoinSpec(pair, (HJoinPart(K, 2), HJoinPart(K, 2))),
-    )
+    # putting an independent part first claims it is the clique
+    res = verify_hjoin_structure(g, [(1, 3), (0, 2)], [(0, 1)])
     assert not res.ok and res.clause == "part-complete" and res.parts == (0,)
-    with pytest.raises(ValueError):
-        verify_hjoin_structure(g, [(0, 1, 2), (3,)], spec_k)  # sizes off
+    # claiming the two order-4 elements are joined: gcd(4, 4) = 4 is composite
+    res = verify_hjoin_structure(g, [(0, 2), (1,), (3,)], [(0, 1), (0, 2), (1, 2)])
+    assert not res.ok and res.clause == "cross-missing" and res.vertex_pair == (1, 3)
+    for edges in ([(0, 2)], [(1, 0)]):  # no part 2; an edge written backwards
+        with pytest.raises(ValueError):
+            verify_hjoin_structure(g, [(0, 2), (1, 3)], edges)
 
 
 def test_validate_partition():
