@@ -14,7 +14,6 @@ import argparse
 import re
 import sys
 from contextlib import nullcontext
-from pathlib import Path
 
 from . import verification as ver
 from .closedforms import clique_number, decomposition_catalog, is_hamiltonian, theta_degree
@@ -81,15 +80,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_theta(args: argparse.Namespace) -> int:
     group = GroupSpec(Family(args.family), args.n)
-    graph = build_theta(group, args.vertex_cap)
-    if args.format == "dot":
-        text = graph_to_dot(graph)
-    else:
-        text = graph_to_json(graph, args.family, args.n)
-    if args.output is None:
-        sys.stdout.write(text)
-    else:
-        Path(args.output).write_text(text)
+    # open the output first, so an unwritable path fails before the build
+    with open(args.output, "w") if args.output is not None else nullcontext(sys.stdout) as out:
+        graph = build_theta(group, args.vertex_cap)
+        if args.format == "dot":
+            out.write(graph_to_dot(graph))
+        else:
+            out.write(graph_to_json(graph, args.family, args.n))
     return EXIT_OK
 
 

@@ -12,6 +12,9 @@ kind: part 0 is the clique on the identity and prime-order elements, and
 every other part is an independent set of composite order classes (two
 elements of one composite order d share the composite gcd d).  An entry
 holds only the part sizes and the pattern edges.
+
+Each part is a union of order classes; catalog_partition places each class
+by its family kind's part table, _CD_PARTS or _DIC_PARTS.
 """
 
 from __future__ import annotations
@@ -104,6 +107,12 @@ def _is_composite(d: int) -> bool:
     return d > 1 and not is_prime(d)
 
 
+def _capped_exponents(d: int, primes: tuple[int, ...]) -> tuple[int, ...]:
+    """Exponent of each prime in d, capped at 2: the degree expansion and the
+    part tables tell only 0, 1 and "2 or more" apart."""
+    return tuple(2 if d % (p * p) == 0 else 1 if d % p == 0 else 0 for p in primes)
+
+
 def _composite_degree(fact: Factorization, d: int) -> int:
     """Degree of a composite-order vertex in the prime coprime graph of the
     cyclic group of order fact.value, by the admissible-subset expansion:
@@ -116,11 +125,8 @@ def _composite_degree(fact: Factorization, d: int) -> int:
     """
     support = []
     weights = []  # p_i**gamma_i - 1
-    for i, (p, alpha) in enumerate(zip(fact.primes, fact.exponents)):
-        beta = 0
-        while d % p == 0:
-            d //= p
-            beta += 1
+    betas = _capped_exponents(d, fact.primes)
+    for i, (p, alpha, beta) in enumerate(zip(fact.primes, fact.exponents, betas)):
         if beta >= 1:
             support.append(i)
         weights.append(p ** (1 if beta >= 2 else alpha) - 1)
@@ -270,6 +276,27 @@ _DIC_PATTERNS: dict[str, tuple[tuple[int, int], ...]] = {
            (1, 2), (1, 3), (1, 5), (2, 3), (2, 5), (3, 5), (4, 5)),
     "2^m": ((0, 1),),
     "p^m": ((0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 4), (2, 4), (3, 4)),
+}
+
+# part tables: a composite order's part, keyed by its exponents at the
+# pattern's primes capped at 2 (dicyclic: at 2 first, then the odd primes);
+# orders 1 and prime are part 0.  The 2n dicyclic elements outside the cyclic
+# part all have order 4, key (2, 0, ...).
+_CD_PARTS: dict[str, dict[tuple[int, ...], int]] = {
+    "p": {},
+    "pq": {(1, 1): 1},
+    "p^m": {(2,): 1},
+    "pq^m": {(0, 2): 1, (1, 1): 2, (1, 2): 3},
+    "p^lq^m": {(2, 0): 1, (0, 2): 2, (1, 1): 3, (2, 1): 4, (1, 2): 5, (2, 2): 6},
+    "pqr": {(1, 1, 0): 1, (0, 1, 1): 2, (1, 0, 1): 3, (1, 1, 1): 4},
+}
+
+_DIC_PARTS: dict[str, dict[tuple[int, ...], int]] = {
+    "p": {(1, 1): 1, (2, 0): 2},
+    "2p": {(1, 1): 1, (2, 1): 2, (2, 0): 3},
+    "pq": {(1, 1, 0): 1, (1, 0, 1): 2, (0, 1, 1): 3, (1, 1, 1): 4, (2, 0, 0): 5},
+    "2^m": {(2,): 1},
+    "p^m": {(1, 1): 1, (0, 2): 2, (1, 2): 3, (2, 0): 4},
 }
 
 
@@ -431,97 +458,18 @@ def decomposition_catalog(family: Family, n: int) -> DecompositionEntry | None:
     return DecompositionEntry(family, n, pattern, primes, exponents, tuple(sizes), edges)
 
 
-def _cd_part_of(pattern: str, primes: tuple[int, ...], d: int) -> int:
-    """Part index of an order-d element for cyclic and dihedral patterns."""
-    if d == 1 or is_prime(d):
-        return 0
-    if pattern in ("pq", "p^m"):
-        return 1
-    if pattern == "pq^m":
-        p, q = primes
-        if d == p * q:
-            return 2
-        return 3 if d % p == 0 else 1
-    if pattern == "p^lq^m":
-        p, q = primes
-        vp = 0
-        while d % p == 0:
-            d //= p
-            vp += 1
-        vq = 0
-        while d % q == 0:
-            d //= q
-            vq += 1
-        if vq == 0:
-            return 1
-        if vp == 0:
-            return 2
-        if vp == 1 and vq == 1:
-            return 3
-        if vp >= 2 and vq == 1:
-            return 4
-        if vp == 1 and vq >= 2:
-            return 5
-        return 6
-    if pattern == "pqr":
-        p, q, r = primes
-        if d == p * q:
-            return 1
-        if d == q * r:
-            return 2
-        if d == p * r:
-            return 3
-        return 4
-    raise AssertionError(f"unknown pattern {pattern}")
-
-
-def _dic_part_of(pattern: str, primes: tuple[int, ...], outside: bool, d: int) -> int:
-    """Part index of an order-d element for dicyclic patterns; outside flags
-    the 2n elements outside the cyclic part (all of order 4)."""
-    if pattern == "2^m":
-        return 0 if d <= 2 else 1
-    if d == 1 or is_prime(d):
-        return 0
-    if pattern == "p":
-        return 2 if outside else 1
-    if pattern == "2p":
-        p = primes[1]
-        if d == 2 * p:
-            return 1
-        if d == 4 * p:
-            return 2
-        return 3  # order 4, inside or outside
-    if pattern == "pq":
-        if outside:
-            return 5
-        p, q = primes
-        if d == 2 * p:
-            return 1
-        if d == 2 * q:
-            return 2
-        if d == p * q:
-            return 3
-        return 4  # order 2pq
-    if pattern == "p^m":
-        if outside:
-            return 4
-        p = primes[0]
-        if d == 2 * p:
-            return 1
-        return 2 if d % 2 == 1 else 3
-    raise AssertionError(f"unknown pattern {pattern}")
-
-
 def catalog_partition(entry: DecompositionEntry) -> tuple[tuple[int, ...], ...]:
-    """Vertex partition of build_theta(GroupSpec(entry.family, entry.n)) that
-    realizes the entry's H-join, parts aligned with entry.sizes, each ascending.
-    Each order class goes to its part whole; whether the parts come out at
-    entry.sizes is left to the caller (run_decomp checks it)."""
+    """Vertex partition of the group's prime coprime graph that realizes the
+    entry's H-join, parts aligned with entry.sizes, each ascending.  Each
+    order class goes whole to the part its family's table names; whether the
+    parts come out at entry.sizes is left to the caller (run_decomp checks
+    it)."""
+    if entry.family is Family.DICYCLIC:
+        table, primes = _DIC_PARTS[entry.pattern], tuple(sorted({2, *entry.primes}))
+    else:
+        table, primes = _CD_PARTS[entry.pattern], entry.primes
     buckets: list[list[int]] = [[] for _ in entry.sizes]
-    for (d, outside), members in order_classes(GroupSpec(entry.family, entry.n)).items():
-        if entry.family is Family.DICYCLIC:
-            part = _dic_part_of(entry.pattern, entry.primes, outside, d)
-        else:
-            part = _cd_part_of(entry.pattern, entry.primes, d)
+    for (d, _), members in order_classes(GroupSpec(entry.family, entry.n)).items():
+        part = table[_capped_exponents(d, primes)] if _is_composite(d) else 0
         buckets[part] += members
     return tuple(tuple(sorted(b)) for b in buckets)

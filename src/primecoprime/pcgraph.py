@@ -8,7 +8,9 @@ and shares it across its classes; only classes adjacent to themselves
 
 verify_hjoin_structure checks the layout the graph forces: part 0 a clique
 (the identity and the prime-order elements), every other part an independent
-set of composite order classes, joined along the given pattern edges.
+set of composite order classes, joined along the given pattern edges.  It
+decides this between order classes by the same gcd rule, _adjacent_orders,
+without building the graph.
 """
 
 from __future__ import annotations
@@ -17,9 +19,9 @@ import json
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, combinations
 
-from .groups import GroupSpec, element_labels, order_classes
+from .groups import GroupSpec, element_labels, element_orders, order_classes
 from .numtheory import is_prime
 
 __all__ = [
@@ -30,6 +32,7 @@ __all__ = [
     "complete",
     "from_edges",
     "join",
+    "check_vertex_cap",
     "build_theta",
     "component_count",
     "is_complete",
@@ -55,7 +58,7 @@ class SimpleGraph:
     compares structure (vertex count and adjacency), not labels.
     """
 
-    __slots__ = ("vertex_count", "adjacency", "labels", "_neighbor_sets")
+    __slots__ = ("vertex_count", "adjacency", "labels")
 
     def __init__(
         self,
@@ -67,7 +70,6 @@ class SimpleGraph:
         if labels is not None and len(labels) != len(adjacency):
             raise ValueError("labels must align with the vertex list")
         self.labels = labels
-        self._neighbor_sets: tuple[frozenset[int], ...] | None = None
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
@@ -86,9 +88,7 @@ class SimpleGraph:
         return i < len(nbrs) and nbrs[i] == v
 
     def neighbor_sets(self) -> tuple[frozenset[int], ...]:
-        if self._neighbor_sets is None:
-            self._neighbor_sets = tuple(frozenset(nbrs) for nbrs in self.adjacency)
-        return self._neighbor_sets
+        return tuple(frozenset(nbrs) for nbrs in self.adjacency)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SimpleGraph):
@@ -154,13 +154,18 @@ def _adjacent_orders(d1: int, d2: int) -> bool:
     return g == 1 or is_prime(g)
 
 
-def build_theta(group: GroupSpec, vertex_cap: int = DEFAULT_VERTEX_CAP) -> SimpleGraph:
-    """Prime coprime graph of the group: vertices are the elements in
-    canonical order, an edge joins u != v iff gcd(|u|, |v|) is 1 or prime."""
+def check_vertex_cap(group: GroupSpec, vertex_cap: int) -> None:
+    """Raise CapacityError when the group has more elements than vertex_cap."""
     if group.order > vertex_cap:
         raise CapacityError(
             f"{group} has {group.order} elements, above the cap of {vertex_cap}"
         )
+
+
+def build_theta(group: GroupSpec, vertex_cap: int = DEFAULT_VERTEX_CAP) -> SimpleGraph:
+    """Prime coprime graph of the group: vertices are the elements in
+    canonical order, an edge joins u != v iff gcd(|u|, |v|) is 1 or prime."""
+    check_vertex_cap(group, vertex_cap)
     classes = order_classes(group)
     adjacency: list[tuple[int, ...]] = [()] * group.order
     rows: dict[int, tuple[int, ...]] = {}  # order -> neighbours of its classes
@@ -243,44 +248,45 @@ class HJoinCheck:
         return self.ok
 
 
-def verify_hjoin_structure(graph: SimpleGraph, partition, pattern_edges) -> HJoinCheck:
-    """Decide whether graph is the H-join of the partition's parts: part 0 a
-    clique, every other part an independent set, and parts i < j fully
-    joined when (i, j) is a pattern edge and with no edges between them
-    otherwise.
+def verify_hjoin_structure(group: GroupSpec, partition, pattern_edges) -> HJoinCheck:
+    """Decide whether the group's prime coprime graph is the H-join of the
+    partition's parts: part 0 a clique, every other part an independent set,
+    and parts i < j fully joined when (i, j) is a pattern edge and with no
+    edges between them otherwise.
+
+    Adjacency depends only on the two orders, so the graph is never built:
+    each part keeps each order's two least members (the second stands for a
+    pair inside the class), and their pairs are decided by _adjacent_orders.
+    The witness is the pair a vertex-by-vertex scan in ascending order would
+    report first.
 
     A pattern edge that does not join two parts is an error; a structural
     mismatch is a False result with a witness.
     """
-    parts = validate_partition(partition, graph.vertex_count)
+    parts = validate_partition(partition, group.order)
     joined = set(pattern_edges)
     if not all(0 <= i < j < len(parts) for i, j in joined):
         raise ValueError(f"pattern edges {sorted(joined)} do not fit {len(parts)} parts")
-    nbrs = graph.neighbor_sets()
-    for i, part in enumerate(parts):
-        members = frozenset(part)
-        for u in part:
-            if i == 0:
-                missing = members - nbrs[u] - {u}
-                if missing:
-                    return HJoinCheck(False, "part-complete", (i,), (u, min(missing)))
-            else:
-                inside = nbrs[u] & members
-                if inside:
-                    return HJoinCheck(False, "part-empty", (i,), (u, min(inside)))
-    for i in range(len(parts)):
-        for j in range(i + 1, len(parts)):
-            expected = (i, j) in joined
-            other = frozenset(parts[j])
-            for u in parts[i]:
-                if expected:
-                    missing = other - nbrs[u]
-                    if missing:
-                        return HJoinCheck(False, "cross-missing", (i, j), (u, min(missing)))
-                else:
-                    extra = other & nbrs[u]
-                    if extra:
-                        return HJoinCheck(False, "cross-extra", (i, j), (u, min(extra)))
+    orders = element_orders(group)
+    kept = []  # per part: the two least members of each order, ascending
+    for part in parts:
+        by_order: dict[int, list[int]] = {}
+        for v in part:
+            by_order.setdefault(orders[v], []).append(v)
+        kept.append(sorted(v for members in by_order.values() for v in members[:2]))
+
+    def mismatch(us: list[int], vs: list[int], adjacent: bool) -> tuple[int, int] | None:
+        return next(((u, v) for u in us for v in vs
+                     if u != v and _adjacent_orders(orders[u], orders[v]) != adjacent), None)
+
+    for i, members in enumerate(kept):
+        if pair := mismatch(members, members, i == 0):
+            return HJoinCheck(False, "part-empty" if i else "part-complete", (i,), pair)
+    for i, j in combinations(range(len(parts)), 2):
+        expected = (i, j) in joined
+        if pair := mismatch(kept[i], kept[j], expected):
+            clause = "cross-missing" if expected else "cross-extra"
+            return HJoinCheck(False, clause, (i, j), pair)
     return HJoinCheck(True)
 
 

@@ -30,6 +30,7 @@ from .numtheory import _divisors_of, _factorizations, euler_phi, phi_sum_expansi
 from .pcgraph import (
     DEFAULT_VERTEX_CAP,
     build_theta,
+    check_vertex_cap,
     complete,
     component_count,
     empty_graph,
@@ -335,20 +336,21 @@ def run_decomp(
 ) -> list[ClaimRecord]:
     """Catalog entries must match the graph: the part sizes, then the H-join
     structure, which also checks the (k, 1) split (part 0 a clique, the
-    other parts independent sets)."""
+    other parts independent sets).  The structure is checked between order
+    classes, so the graph is never expanded; the vertex cap still applies."""
 
     def check(group: GroupSpec) -> list[ClaimRecord]:
         entry = cf.decomposition_catalog(group.family, group.n)
         if entry is None:
             return []  # the catalog does not cover this parameter shape
-        theta = build_theta(group, limits.vertex_cap)
+        check_vertex_cap(group, limits.vertex_cap)
         partition = cf.catalog_partition(entry)
         counted = tuple(len(part) for part in partition)
         k, l = entry.kl
         ok = False
         if entry.sizes != counted:
             certificate = f"part sizes {_csv(entry.sizes)} != element counts {_csv(counted)}"
-        elif not (structure := verify_hjoin_structure(theta, partition, entry.pattern_edges)):
+        elif not (structure := verify_hjoin_structure(group, partition, entry.pattern_edges)):
             certificate = (f"clause={structure.clause},parts={structure.parts},"
                            f"pair={structure.vertex_pair}")
         else:

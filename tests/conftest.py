@@ -69,20 +69,16 @@ def cycle_graph(m: int) -> SimpleGraph:
     return from_edges(m, [(i, (i + 1) % m) for i in range(m)])
 
 
-def h_join(sizes, pattern_edges) -> SimpleGraph:
-    """Expand an H-join edge by edge: parts of the given sizes become blocks
-    of consecutive vertices, part 0 joins its own block into a clique, the
-    other parts stay independent, and two blocks are fully joined exactly
-    for pattern edges.  The reference that verify_hjoin_structure is checked
-    against."""
-    blocks, start = [], 0
-    for size in sizes:
-        blocks.append(range(start, start + size))
-        start += size
-    edges = list(combinations(blocks[0], 2))
+def h_join(partition, pattern_edges) -> SimpleGraph:
+    """Expand an H-join edge by edge over a vertex partition of 0..N-1:
+    part 0 becomes a clique, the other parts stay independent, and two parts
+    are fully joined exactly for pattern edges.  The expanded reference that
+    verify_hjoin_structure's class-level check is compared against."""
+    parts = [tuple(part) for part in partition]
+    edges = list(combinations(parts[0], 2))
     for i, j in pattern_edges:
-        edges += [(u, v) for u in blocks[i] for v in blocks[j]]
-    return from_edges(start, edges)
+        edges += [(u, v) for u in parts[i] for v in parts[j]]
+    return from_edges(sum(len(part) for part in parts), edges)
 
 
 def naive_theta(group: GroupSpec) -> SimpleGraph:

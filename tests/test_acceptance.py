@@ -122,7 +122,7 @@ def test_criterion_7_decomposition_catalog():
         )
         missing = [pair for pair in wanted if pair not in covered]
         assert not missing, f"catalog is missing {missing}"
-    report(7, f"H-join decompositions verified on the graphs, {checked} entries", t, 120)
+    report(7, f"H-join decompositions verified between order classes, {checked} entries", t, 120)
 
 
 def test_criterion_8_join_identities():

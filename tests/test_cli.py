@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import primecoprime
-from primecoprime import cli, closedforms
+from primecoprime import cli, closedforms, pcgraph
 from primecoprime import verification as ver
 
 Z4_DOT = (
@@ -78,10 +78,37 @@ def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
         assert err.startswith("error:") and "Traceback" not in err, argv
 
 
+def test_theta_opens_the_output_before_the_build(tmp_path, capsys, monkeypatch):
+    def build(*args, **kwargs):
+        raise AssertionError("the graph was built before the output was opened")
+
+    monkeypatch.setattr(cli, "build_theta", build)
+    missing = tmp_path / "missing" / "x.dot"
+    code, out, err = run(capsys, "theta", "cyclic", "12", "-o", str(missing))
+    assert code == 2 and err.startswith("error:")
+
+
 def test_theta_capacity_exit(capsys):
     code, out, err = run(capsys, "theta", "cyclic", "50", "--vertex-cap", "10")
     assert code == 3
     assert err.startswith("error:")
+
+
+def test_decomp_capacity_exit(capsys):
+    # the class-level check builds no graph, but still honours the cap
+    code, out, err = run(capsys, "verify", "decomp-cyclic", "12..12", "--vertex-cap", "5")
+    assert (code, out) == (3, "")
+    assert err == "error: cyclic(n=12) has 12 elements, above the cap of 5\n"
+
+
+def test_decomp_never_expands_the_graph(monkeypatch):
+    def expand(*args, **kwargs):
+        raise AssertionError("decomp expanded the graph")
+
+    monkeypatch.setattr(ver, "build_theta", expand)
+    monkeypatch.setattr(pcgraph.SimpleGraph, "neighbor_sets", expand)
+    records = ver.CLAIMS["decomp-all"].run(1, 120, by_order=True)
+    assert records and all(r.verdict == "pass" for r in records)
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,8 @@
 """Closed forms against the graph itself and against the exact searches."""
 
+import hashlib
+from itertools import combinations
+
 import pytest
 
 from primecoprime.closedforms import (
@@ -39,7 +42,7 @@ from primecoprime.oracles import (
 )
 from primecoprime.pcgraph import build_theta, verify_hjoin_structure
 from primecoprime.verification import run_degree
-from conftest import naive_theta
+from conftest import h_join, naive_theta
 
 
 # ---------------------------------------------------------------------------
@@ -291,12 +294,57 @@ def test_catalog_entry(family, n, pattern, parts, kl):
 def test_catalog_entry_matches_graph(family, n, pattern, parts, kl):
     entry = decomposition_catalog(family, n)
     group = GroupSpec(family, n)
-    theta = build_theta(group)
     partition = catalog_partition(entry)
     assert partition[0] == s_indices(group)
-    assert verify_hjoin_structure(theta, partition, entry.pattern_edges).ok
+    assert verify_hjoin_structure(group, partition, entry.pattern_edges).ok
     k, l = entry.kl
-    assert kl_partition_check(theta, partition, k, l)
+    assert kl_partition_check(build_theta(group), partition, k, l)
+
+
+def covered_groups(max_order):
+    """(group, catalog entry) for every covered group of order <= max_order,
+    family by family in Family order, n ascending."""
+    return [
+        (GroupSpec(family, n), entry)
+        for family in Family
+        for n in range(family.min_n, max_order // family.order_factor + 1)
+        if (entry := decomposition_catalog(family, n)) is not None
+    ]
+
+
+def test_class_check_agrees_with_the_expanded_h_join():
+    # the catalog partition expands to the brute-force graph, and toggling
+    # any one part pair of the pattern fails with a witness whose adjacency
+    # in that graph contradicts the toggled pattern
+    for group, entry in covered_groups(120):
+        theta = naive_theta(group)
+        partition = catalog_partition(entry)
+        edges = set(entry.pattern_edges)
+        assert h_join(partition, edges) == theta, group
+        assert verify_hjoin_structure(group, partition, edges).ok, group
+        part_of = {v: i for i, part in enumerate(partition) for v in part}
+        for pair in combinations(range(len(partition)), 2):
+            toggled = edges ^ {pair}
+            result = verify_hjoin_structure(group, partition, toggled)
+            assert not result.ok and result.parts == pair, (group, pair)
+            u, v = result.vertex_pair
+            i, j = sorted((part_of[u], part_of[v]))
+            claimed = i == 0 if i == j else (i, j) in toggled
+            assert theta.has_edge(u, v) != claimed, (group, pair)
+
+
+# sha256 over one "family n partition" line per covered group of order
+# <= 600, as catalog_partition gave them before the part tables replaced the
+# per-family branch functions
+PARTITIONS_SHA256 = "c033a132bcfbdc8248dd6169c8f05c13cf42435985ec1f68741917a9f1e95509"
+
+
+def test_catalog_partitions_are_pinned():
+    digest = hashlib.sha256()
+    for group, entry in covered_groups(600):
+        line = f"{group.family.value} {group.n} {catalog_partition(entry)}\n"
+        digest.update(line.encode())
+    assert digest.hexdigest() == PARTITIONS_SHA256
 
 
 @pytest.mark.parametrize(
