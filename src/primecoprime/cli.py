@@ -11,6 +11,7 @@ Exit codes: 0 all checks pass, 1 a verification failed, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 from contextlib import nullcontext
@@ -23,8 +24,8 @@ from .pcgraph import (
     DEFAULT_VERTEX_CAP,
     CapacityError,
     build_theta,
-    graph_to_dot,
-    graph_to_json,
+    dot_chunks,
+    json_chunks,
 )
 
 EXIT_OK = 0
@@ -84,9 +85,20 @@ def _cmd_theta(args: argparse.Namespace) -> int:
     with open(args.output, "w") if args.output is not None else nullcontext(sys.stdout) as out:
         graph = build_theta(group, args.vertex_cap)
         if args.format == "dot":
-            out.write(graph_to_dot(graph))
+            chunks = dot_chunks(graph)
         else:
-            out.write(graph_to_json(graph, args.family, args.n))
+            chunks = json_chunks(graph, args.family, args.n)
+        try:
+            out.writelines(chunks)
+            out.flush()
+        except BrokenPipeError:
+            if args.output is not None:
+                raise
+            # the reader of stdout left (e.g. `| head`): stop quietly, and send
+            # what is still buffered to devnull so the exit flush cannot fail
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
     return EXIT_OK
 
 

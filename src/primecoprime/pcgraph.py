@@ -6,6 +6,10 @@ order classes (groups.order_classes), assembles one neighbor tuple per order
 and shares it across its classes; only classes adjacent to themselves
 (order 1 or prime) need a per-vertex copy with the vertex itself removed.
 
+dot_chunks and json_chunks yield the export one vertex row at a time, so a
+caller that writes the pieces as they come never holds the whole text;
+graph_to_dot and graph_to_json join the pieces into one string.
+
 verify_hjoin_structure checks the layout the graph forces: part 0 a clique
 (the identity and the prime-order elements), every other part an independent
 set of composite order classes, joined along the given pattern edges.  It
@@ -17,7 +21,8 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import chain, combinations
 
@@ -39,6 +44,8 @@ __all__ = [
     "validate_partition",
     "HJoinCheck",
     "verify_hjoin_structure",
+    "dot_chunks",
+    "json_chunks",
     "graph_to_dot",
     "graph_to_json",
 ]
@@ -296,32 +303,49 @@ def _vertex_names(graph: SimpleGraph) -> tuple[str, ...]:
     return tuple(f"v{i}" for i in range(graph.vertex_count))
 
 
+def _upper_rows(graph: SimpleGraph) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(u, the neighbours of u above u) for each vertex u that has one, in
+    vertex order: every edge once, as its lower end's row."""
+    for u, row in enumerate(graph.adjacency):
+        tail = row[bisect_right(row, u):]
+        if tail:
+            yield u, tail
+
+
+def dot_chunks(graph: SimpleGraph) -> Iterator[str]:
+    """DOT text in pieces: the header and vertex lines, then one piece per
+    vertex holding its edges to higher vertices, then the closing brace.
+    Each row is one str.join over the vertex names, so no per-edge object
+    is made and no piece holds more than one vertex's edges."""
+    names = _vertex_names(graph)
+    yield "graph theta {\n" + "".join(f'  "{name}";\n' for name in names)
+    for u, tail in _upper_rows(graph):
+        head = f'  "{names[u]}" -- "'
+        yield head + f'";\n{head}'.join(map(names.__getitem__, tail)) + '";\n'
+    yield "}\n"
+
+
+def json_chunks(graph: SimpleGraph, family: str, parameter: int) -> Iterator[str]:
+    """Compact JSON text in pieces: family, parameter, vertex labels and the
+    sorted edge list, one piece per vertex row of edges as in dot_chunks."""
+    header = json.dumps(
+        {"family": family, "parameter": parameter, "vertex_labels": list(_vertex_names(graph))},
+        separators=(",", ":"),
+    )
+    yield header[:-1] + ',"edges":['
+    numbers = [str(v) for v in range(graph.vertex_count)]
+    comma = ""
+    for u, tail in _upper_rows(graph):
+        yield f"{comma}[{u}," + f"],[{u},".join(map(numbers.__getitem__, tail)) + "]"
+        comma = ","
+    yield "]}\n"
+
+
 def graph_to_dot(graph: SimpleGraph) -> str:
     """DOT text: vertices first, then one edge per line, both in vertex order."""
-    names = _vertex_names(graph)
-    lines = ["graph theta {"]
-    for name in names:
-        lines.append(f'  "{name}";')
-    for u in range(graph.vertex_count):
-        for v in graph.adjacency[u]:
-            if v > u:
-                lines.append(f'  "{names[u]}" -- "{names[v]}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return "".join(dot_chunks(graph))
 
 
 def graph_to_json(graph: SimpleGraph, family: str, parameter: int) -> str:
     """JSON text with family, parameter, vertex labels and the sorted edge list."""
-    edges = [
-        [u, v]
-        for u in range(graph.vertex_count)
-        for v in graph.adjacency[u]
-        if v > u
-    ]
-    payload = {
-        "family": family,
-        "parameter": parameter,
-        "vertex_labels": list(_vertex_names(graph)),
-        "edges": edges,
-    }
-    return json.dumps(payload, separators=(",", ":")) + "\n"
+    return "".join(json_chunks(graph, family, parameter))

@@ -8,6 +8,7 @@ combinations and permutations outright.
 
 from __future__ import annotations
 
+import json
 import math
 from itertools import combinations, permutations
 
@@ -92,6 +93,40 @@ def naive_theta(group: GroupSpec) -> SimpleGraph:
             if g == 1 or naive_is_prime(g):
                 edges.append((u, v))
     return from_edges(len(elems), edges)
+
+
+def _reference_names(graph: SimpleGraph) -> tuple[str, ...]:
+    if graph.labels is not None:
+        return graph.labels
+    return tuple(f"v{i}" for i in range(graph.vertex_count))
+
+
+def reference_graph_to_dot(graph: SimpleGraph) -> str:
+    """DOT export written one line per vertex and per edge: the reference the
+    row-joined graph_to_dot must match byte for byte."""
+    names = _reference_names(graph)
+    lines = ["graph theta {"]
+    for name in names:
+        lines.append(f'  "{name}";')
+    for u in range(graph.vertex_count):
+        for v in graph.adjacency[u]:
+            if v > u:
+                lines.append(f'  "{names[u]}" -- "{names[v]}";')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_graph_to_json(graph: SimpleGraph, family: str, parameter: int) -> str:
+    """JSON export as one json.dumps over a [u, v] list per edge: the
+    reference the row-joined graph_to_json must match byte for byte."""
+    edges = [[u, v] for u in range(graph.vertex_count) for v in graph.adjacency[u] if v > u]
+    payload = {
+        "family": family,
+        "parameter": parameter,
+        "vertex_labels": list(_reference_names(graph)),
+        "edges": edges,
+    }
+    return json.dumps(payload, separators=(",", ":")) + "\n"
 
 
 def brute_max_clique(graph: SimpleGraph) -> tuple[int, tuple[int, ...]]:

@@ -88,6 +88,49 @@ def test_theta_opens_the_output_before_the_build(tmp_path, capsys, monkeypatch):
     assert code == 2 and err.startswith("error:")
 
 
+def test_theta_failed_file_write_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    # only a closed stdout is forgiven; a broken -o target stays an error
+    def chunks(*args):
+        yield "{"
+        raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(cli, "json_chunks", chunks)
+    target = tmp_path / "x.json"
+    code, out, err = run(capsys, "theta", "cyclic", "12", "--format", "json", "-o", str(target))
+    assert code == 2 and err.startswith("error:")
+
+
+@pytest.mark.parametrize("fmt", ["json", "dot"])
+def test_theta_stops_quietly_when_stdout_closes(fmt):
+    # `pcg theta cyclic 401 | head -c 100`: the text is far larger than a pipe
+    # buffer, so the export is still writing when the reader leaves
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
+    argv = [sys.executable, "-m", "primecoprime", "theta", "cyclic", "401", "--format", fmt]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        head = proc.stdout.read(100)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        code = proc.wait(timeout=60)
+    assert len(head) == 100
+    assert (code, err) == (0, "")
+
+
+# sha256 of large exports, pinned when the export still went through one
+# json.dumps over per-edge lists; CI checks the p = 4001 pair under a memory limit
+_PIN_LINES = Path(__file__).with_name("export.sha256").read_text().splitlines()
+EXPORT_PINS = {name: digest for digest, name in map(str.split, _PIN_LINES)}
+
+
+@pytest.mark.parametrize("name", ["theta-cyclic-2003.json", "theta-cyclic-2003.dot"])
+def test_large_export_matches_its_pin(name, tmp_path, capsys):
+    _, family, rest = name.split("-")
+    n, fmt = rest.split(".")
+    target = tmp_path / name
+    code, out, err = run(capsys, "theta", family, n, "--format", fmt, "-o", str(target))
+    assert (code, out, err) == (0, "", "")
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == EXPORT_PINS[name]
+
+
 def test_theta_capacity_exit(capsys):
     code, out, err = run(capsys, "theta", "cyclic", "50", "--vertex-cap", "10")
     assert code == 3

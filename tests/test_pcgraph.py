@@ -13,16 +13,24 @@ from primecoprime.pcgraph import (
     build_theta,
     complete,
     component_count,
+    dot_chunks,
     empty_graph,
     from_edges,
     graph_to_dot,
     graph_to_json,
     is_complete,
     join,
+    json_chunks,
     validate_partition,
     verify_hjoin_structure,
 )
-from conftest import cycle_graph, h_join, naive_theta
+from conftest import (
+    cycle_graph,
+    h_join,
+    naive_theta,
+    reference_graph_to_dot,
+    reference_graph_to_json,
+)
 
 
 def test_from_edges_validation():
@@ -206,6 +214,53 @@ def test_json_export():
     assert all(u < v for u, v in edges)
     # byte determinism
     assert text == graph_to_json(build_theta(dicyclic(2)), "dicyclic", 2)
+
+
+def assert_exports_match_reference(graph, family="cyclic", parameter=0):
+    dot = graph_to_dot(graph)
+    assert dot == reference_graph_to_dot(graph)
+    assert "".join(dot_chunks(graph)) == dot
+    text = graph_to_json(graph, family, parameter)
+    assert text == reference_graph_to_json(graph, family, parameter)
+    assert "".join(json_chunks(graph, family, parameter)) == text
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [empty_graph(0), empty_graph(1), empty_graph(5), complete(6), cycle_graph(7),
+     from_edges(4, [(3, 0), (1, 2)])],
+    ids=["no-vertex", "one-vertex", "edgeless", "complete", "cycle", "unsorted-edges"],
+)
+def test_exports_match_reference_unlabelled(graph):
+    assert graph.labels is None  # names are v0, v1, ...
+    assert_exports_match_reference(graph)
+
+
+@pytest.mark.parametrize(
+    "group",
+    [cyclic(n) for n in range(1, 61)]
+    + [dihedral(n) for n in range(3, 31)]
+    + [dicyclic(n) for n in range(2, 16)],
+    ids=str,
+)
+def test_theta_exports_match_reference(group):
+    assert_exports_match_reference(build_theta(group), group.family.value, group.n)
+
+
+@st.composite
+def labelled_graphs(draw):
+    m = draw(st.integers(0, 12))
+    pairs = st.tuples(st.integers(0, max(m - 1, 0)), st.integers(0, max(m - 1, 0)))
+    edges = [(u, v) for u, v in draw(st.lists(pairs, max_size=40)) if u != v]
+    graph = from_edges(m, edges)
+    labels = draw(st.none() | st.lists(st.text(max_size=4), min_size=m, max_size=m))
+    return graph if labels is None else SimpleGraph(graph.adjacency, tuple(labels))
+
+
+@given(labelled_graphs(), st.text(max_size=6), st.integers(-5, 10**6))
+def test_exports_match_reference_on_random_graphs(graph, family, parameter):
+    # text labels and family names carry quotes, escapes and non-ASCII
+    assert_exports_match_reference(graph, family, parameter)
 
 
 def test_graph_equality_ignores_labels():
