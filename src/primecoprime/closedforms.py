@@ -200,9 +200,9 @@ def theta_degree(group: GroupSpec, x: GroupElement) -> int:
 def theta_degrees(group: GroupSpec) -> list[int]:
     """Degrees of all vertices, aligned with the canonical listing.
 
-    A degree depends only on the element's order and on whether the element
-    lies in the cyclic part, so theta_degree runs once per order class, on
-    the class's first element, and the class shares the result.
+    A degree depends only on the element's order, so theta_degree runs once
+    per order class, on the class's first element, and the class shares the
+    result.
     """
     degrees = [0] * group.order
     for members in order_classes(group).values():
@@ -469,7 +469,7 @@ def catalog_partition(entry: DecompositionEntry) -> tuple[tuple[int, ...], ...]:
     else:
         table, primes = _CD_PARTS[entry.pattern], entry.primes
     buckets: list[list[int]] = [[] for _ in entry.sizes]
-    for (d, _), members in order_classes(GroupSpec(entry.family, entry.n)).items():
+    for d, members in order_classes(GroupSpec(entry.family, entry.n)).items():
         part = table[_capped_exponents(d, primes)] if _is_composite(d) else 0
         buckets[part] += members
     return tuple(tuple(sorted(b)) for b in buckets)

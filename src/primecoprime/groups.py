@@ -200,23 +200,17 @@ def element_orders(group: GroupSpec) -> list[int]:
     return orders
 
 
-def order_classes(group: GroupSpec) -> dict[tuple[int, bool], list[int]]:
-    """Map (order, outside) -> the canonical indices of the elements of that
-    order, ascending; outside is True for the elements outside the cyclic
-    part (the second half of a dihedral or dicyclic listing).
+def order_classes(group: GroupSpec) -> dict[int, list[int]]:
+    """Map each element order to the canonical indices of the elements of
+    that order, ascending.
 
-    Adjacency and degrees depend only on these two facts, so every grouping
-    of elements by order goes through here.  Classes appear in the order of
+    Adjacency and degrees depend only on the order, so every grouping of
+    elements by order goes through here.  Classes appear in the order of
     their first element.
     """
-    half = group.order if group.family is Family.CYCLIC else group.order // 2
-    orders = element_orders(group)
-    classes: dict[tuple[int, bool], list[int]] = {}
-    for outside, indices in ((False, range(half)), (True, range(half, group.order))):
-        by_order: dict[int, list[int]] = {}
-        for v in indices:
-            by_order.setdefault(orders[v], []).append(v)
-        classes.update(((d, outside), members) for d, members in by_order.items())
+    classes: dict[int, list[int]] = {}
+    for v, d in enumerate(element_orders(group)):
+        classes.setdefault(d, []).append(v)
     return classes
 
 
@@ -228,7 +222,7 @@ def s_indices(group: GroupSpec) -> tuple[int, ...]:
     """Canonical indices of the elements of order 1 or a prime, ascending."""
     return tuple(sorted(
         v
-        for (d, _), members in order_classes(group).items()
+        for d, members in order_classes(group).items()
         if _is_one_or_prime(d)
         for v in members
     ))
@@ -236,4 +230,4 @@ def s_indices(group: GroupSpec) -> tuple[int, ...]:
 
 def is_epo(group: GroupSpec) -> bool:
     """True iff every element has order 1 or prime."""
-    return all(_is_one_or_prime(d) for d, _ in order_classes(group))
+    return all(_is_one_or_prime(d) for d in order_classes(group))

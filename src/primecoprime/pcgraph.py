@@ -2,9 +2,11 @@
 
 A SimpleGraph stores sorted neighbor tuples per vertex.  Adjacency in the
 prime coprime graph depends only on element orders, so build_theta walks the
-order classes (groups.order_classes), assembles one neighbor tuple per order
-and shares it across its classes; only classes adjacent to themselves
+order classes (groups.order_classes), assembles one neighbor tuple per class
+and shares it across its members; only classes adjacent to themselves
 (order 1 or prime) need a per-vertex copy with the vertex itself removed.
+class_degrees reads the degrees off the same classes without building any
+row: the degree, dominating-set and completeness claims need nothing more.
 
 dot_chunks and json_chunks yield the export one vertex row at a time, so a
 caller that writes the pieces as they come never holds the whole text;
@@ -38,9 +40,9 @@ __all__ = [
     "from_edges",
     "join",
     "check_vertex_cap",
+    "class_degrees",
     "build_theta",
     "component_count",
-    "is_complete",
     "validate_partition",
     "HJoinCheck",
     "verify_hjoin_structure",
@@ -169,18 +171,32 @@ def check_vertex_cap(group: GroupSpec, vertex_cap: int) -> None:
         )
 
 
+def class_degrees(
+    group: GroupSpec, vertex_cap: int = DEFAULT_VERTEX_CAP
+) -> list[tuple[list[int], int]]:
+    """(members, degree) for each order class, in the order of order_classes:
+    the degree each member has in the prime coprime graph, counted without
+    building it.  It is the total size of the classes gcd-adjacent to the
+    class, less one when the class is adjacent to itself (a vertex is not its
+    own neighbour).  The vertex cap applies as in build_theta."""
+    check_vertex_cap(group, vertex_cap)
+    classes = order_classes(group)
+    degrees = []
+    for d, members in classes.items():
+        linked = sum(len(m) for d2, m in classes.items() if _adjacent_orders(d, d2))
+        degrees.append((members, linked - 1 if _adjacent_orders(d, d) else linked))
+    return degrees
+
+
 def build_theta(group: GroupSpec, vertex_cap: int = DEFAULT_VERTEX_CAP) -> SimpleGraph:
     """Prime coprime graph of the group: vertices are the elements in
     canonical order, an edge joins u != v iff gcd(|u|, |v|) is 1 or prime."""
     check_vertex_cap(group, vertex_cap)
     classes = order_classes(group)
     adjacency: list[tuple[int, ...]] = [()] * group.order
-    rows: dict[int, tuple[int, ...]] = {}  # order -> neighbours of its classes
-    for (d, _), members in classes.items():
-        if d not in rows:
-            linked = (m for (d2, _), m in classes.items() if _adjacent_orders(d, d2))
-            rows[d] = tuple(sorted(chain.from_iterable(linked)))
-        base = rows[d]
+    for d, members in classes.items():
+        linked = (m for d2, m in classes.items() if _adjacent_orders(d, d2))
+        base = tuple(sorted(chain.from_iterable(linked)))
         if _adjacent_orders(d, d):
             # class adjacent to itself: drop each vertex from its own row
             for v in members:
@@ -214,11 +230,6 @@ def component_count(graph: SimpleGraph, removed=()) -> int:
                     seen[u] = 1
                     stack.append(u)
     return count
-
-
-def is_complete(graph: SimpleGraph) -> bool:
-    n = graph.vertex_count
-    return graph.edge_count() == n * (n - 1) // 2
 
 
 def validate_partition(parts, vertex_count: int) -> tuple[tuple[int, ...], ...]:

@@ -7,6 +7,12 @@ check, which returns none for a group the claim does not speak about.  Every
 run_* family sweep ends in the same by_order=False, limits=Limits(), so the
 CLAIMS table names them directly.
 
+The degree, dominating-set and completeness oracles read vertex degrees off
+the order classes (pcgraph.class_degrees), and decomp-* checks its H-join
+between classes, so none of them builds the graph.  The clique,
+Hamiltonicity, ham-cut and join-identity oracles run on the graph that
+build_theta expands.
+
 Records are sorted and serialized in a fixed order with no timestamps or
 randomness, so repeated runs of the same sweep produce byte-identical
 reports; the ms field is kept at zero for that reason.
@@ -23,6 +29,7 @@ from . import oracles
 from .groups import (
     Family,
     GroupSpec,
+    element_labels,
     is_epo,
     s_indices,
 )
@@ -31,10 +38,10 @@ from .pcgraph import (
     DEFAULT_VERTEX_CAP,
     build_theta,
     check_vertex_cap,
+    class_degrees,
     complete,
     component_count,
     empty_graph,
-    is_complete,
     join,
     verify_hjoin_structure,
 )
@@ -199,11 +206,14 @@ def run_phi_sum(lo: int = 2, hi: int = 100000) -> list[ClaimRecord]:
 def run_dominating_set(
     family: Family, lo: int, hi: int, by_order: bool = False, limits: Limits = Limits()
 ) -> list[ClaimRecord]:
-    """Dominating vertices of the graph == elements of order 1 or prime."""
+    """Dominating vertices of the graph (degree |G| - 1, read off the order
+    classes) == elements of order 1 or prime."""
 
     def check(group: GroupSpec) -> list[ClaimRecord]:
         want = s_indices(group)
-        got = oracles.dominating_vertices(build_theta(group, limits.vertex_cap))
+        full = group.order - 1
+        got = tuple(sorted(v for members, degree in class_degrees(group, limits.vertex_cap)
+                           if degree == full for v in members))
         ok = want == got
         note = None if ok else f"expected {len(want)} dominating vertices, graph has {len(got)}"
         return [_record(_DOMINATING_SET, group, len(want), len(got), _verdict(ok), note)]
@@ -214,11 +224,13 @@ def run_dominating_set(
 def run_epo_complete(
     family: Family, lo: int, hi: int, by_order: bool = False, limits: Limits = Limits()
 ) -> list[ClaimRecord]:
-    """Only identity/prime orders <=> the graph is complete."""
+    """Only identity/prime orders <=> the graph is complete (every class
+    degree is |G| - 1)."""
 
     def check(group: GroupSpec) -> list[ClaimRecord]:
         epo = is_epo(group)
-        comp = is_complete(build_theta(group, limits.vertex_cap))
+        full = group.order - 1
+        comp = all(degree == full for _, degree in class_degrees(group, limits.vertex_cap))
         return [_record(_EPO_COMPLETE, group, epo, comp, _verdict(epo == comp))]
 
     return _sweep(check, family, lo, hi, by_order)
@@ -251,7 +263,8 @@ def run_degree(
     family: Family, lo: int, hi: int, per_element: bool = True,
     by_order: bool = False, limits: Limits = Limits(),
 ) -> list[ClaimRecord]:
-    """Closed-form degree == neighbor count, for every element.
+    """Closed-form degree == neighbor count, for every element; the count is
+    the class degree of pcgraph.class_degrees, so the graph is not built.
 
     With per_element=False one record per group is emitted whose formula and
     oracle fields are the degree totals; the verdict still requires every
@@ -260,10 +273,12 @@ def run_degree(
     claim = f"degree-{family.value}"
 
     def check(group: GroupSpec) -> list[ClaimRecord]:
-        theta = build_theta(group, limits.vertex_cap)
+        oracle = [0] * group.order
+        for members, degree in class_degrees(group, limits.vertex_cap):
+            for v in members:
+                oracle[v] = degree
         formulas = cf.theta_degrees(group)
-        oracle = [len(nbrs) for nbrs in theta.adjacency]
-        checked = zip(theta.labels, formulas, oracle)
+        checked = zip(element_labels(group), formulas, oracle)
         if per_element:
             return [
                 _record(claim, group, formula, got, _verdict(formula == got), param=label)

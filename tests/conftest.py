@@ -86,13 +86,22 @@ def naive_theta(group: GroupSpec) -> SimpleGraph:
     """Prime coprime graph rebuilt from multiplication-based orders."""
     elems = elements(group)
     orders = [naive_element_order(group, e) for e in elems]
+    edge_gcd: dict[int, bool] = {}  # gcd -> edge, so each gcd is tested once
     edges = []
     for u in range(len(elems)):
         for v in range(u + 1, len(elems)):
             g = math.gcd(orders[u], orders[v])
-            if g == 1 or naive_is_prime(g):
+            if g not in edge_gcd:
+                edge_gcd[g] = g == 1 or naive_is_prime(g)
+            if edge_gcd[g]:
                 edges.append((u, v))
     return from_edges(len(elems), edges)
+
+
+def is_complete(graph: SimpleGraph) -> bool:
+    """True iff every pair of distinct vertices is an edge."""
+    n = graph.vertex_count
+    return graph.edge_count() == n * (n - 1) // 2
 
 
 def _reference_names(graph: SimpleGraph) -> tuple[str, ...]:

@@ -84,7 +84,7 @@ def test_criterion_5_degree_formulas():
         checked = all_pass(ver.run_degree(CYCLIC, 1, 1000, per_element=False))
         checked += all_pass(ver.run_degree(DIHEDRAL, 3, 300, per_element=False))
         checked += all_pass(ver.run_degree(DICYCLIC, 2, 150, per_element=False))
-    report(5, f"degree formulas match adjacency counts, {checked} groups", t, 300)
+    report(5, f"degree formulas match class degrees, {checked} groups", t, 300)
 
 
 def _revalidate_ham_certificates(records):

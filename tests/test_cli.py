@@ -144,13 +144,41 @@ def test_decomp_capacity_exit(capsys):
     assert err == "error: cyclic(n=12) has 12 elements, above the cap of 5\n"
 
 
-def test_decomp_never_expands_the_graph(monkeypatch):
-    def expand(*args, **kwargs):
-        raise AssertionError("decomp expanded the graph")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "dominating-set", "12..12-by-group-order"),
+        ("verify", "epo-complete", "12..12-by-group-order"),
+        ("verify", "degree-cyclic", "12..12"),
+    ],
+    ids=["dominating-set", "epo-complete", "degree-cyclic"],
+)
+def test_degree_claims_capacity_exit(argv, capsys):
+    # class degrees need no graph either, and the cap still applies
+    code, out, err = run(capsys, *argv, "--vertex-cap", "5")
+    assert (code, out) == (3, "")
+    assert err == "error: cyclic(n=12) has 12 elements, above the cap of 5\n"
 
-    monkeypatch.setattr(ver, "build_theta", expand)
-    monkeypatch.setattr(pcgraph.SimpleGraph, "neighbor_sets", expand)
+
+def _refuse_expansion(*args, **kwargs):
+    raise AssertionError("the claim expanded the graph")
+
+
+def test_decomp_never_expands_the_graph(monkeypatch):
+    monkeypatch.setattr(ver, "build_theta", _refuse_expansion)
+    monkeypatch.setattr(pcgraph.SimpleGraph, "neighbor_sets", _refuse_expansion)
     records = ver.CLAIMS["decomp-all"].run(1, 120, by_order=True)
+    assert records and all(r.verdict == "pass" for r in records)
+
+
+@pytest.mark.parametrize(
+    "name", ["degree-cyclic", "degree-dihedral", "degree-dicyclic", "dominating-set", "epo-complete"]
+)
+def test_degree_claims_never_expand_the_graph(name, monkeypatch):
+    monkeypatch.setattr(ver, "build_theta", _refuse_expansion)
+    claim = ver.CLAIMS[name]
+    lo, hi, by_order = claim.default
+    records = claim.run(lo, hi, by_order)
     assert records and all(r.verdict == "pass" for r in records)
 
 

@@ -99,19 +99,24 @@ def test_every_label_parses_back_to_itself():
 
 def test_order_class_counts_z12():
     classes = order_classes(cyclic(12))
-    counts = {d: len(members) for (d, _), members in classes.items()}
+    counts = {d: len(members) for d, members in classes.items()}
     assert counts == {1: 1, 2: 1, 3: 2, 4: 2, 6: 2, 12: 4}
     # classes come in the order of their first element
-    assert list(classes) == [(1, False), (12, False), (6, False), (4, False),
-                             (3, False), (2, False)]
-    assert classes[(12, False)] == [1, 5, 7, 11]
+    assert list(classes) == [1, 12, 6, 4, 3, 2]
+    assert classes[12] == [1, 5, 7, 11]
 
 
 def test_dihedral_reflections_all_order_two():
-    classes = order_classes(dihedral(9))
-    assert classes[(2, True)] == list(range(9, 18))  # the reflections
-    assert (2, False) not in classes  # 9 is odd, so no rotation has order 2
-    assert order_classes(dihedral(10))[(2, False)] == [5]
+    # 9 is odd, so no rotation has order 2: the class is the reflections
+    assert order_classes(dihedral(9))[2] == list(range(9, 18))
+    # the rotation r5 of order 2 shares its class with the reflections
+    assert order_classes(dihedral(10))[2] == [5, *range(10, 20)]
+
+
+def test_dicyclic_order_four_is_one_class():
+    # a1, a3 and every a<i>b of Q_2 have order 4
+    assert order_classes(dicyclic(2))[4] == [1, 3, 4, 5, 6, 7]
+    assert order_classes(dicyclic(4))[4] == [2, 6, *range(8, 16)]
 
 
 def _groups_up_to(family, order):
@@ -128,11 +133,11 @@ def test_order_classes_against_multiplication(family):
             range(group.order)
         )
         naive = [naive_element_order(group, e) for e in elements(group)]
-        for (d, outside), members in classes.items():
+        assert set(classes) == set(naive)  # one class per order
+        for d, members in classes.items():
             assert members == sorted(members)
             for v in members:
                 assert naive[v] == d, (group, v)
-                assert outside == (family is not Family.CYCLIC and v >= group.order // 2)
         one_or_prime = {d: d == 1 or naive_is_prime(d) for d in set(naive)}
         s = tuple(v for v, d in enumerate(naive) if one_or_prime[d])
         assert s_indices(group) == s, group

@@ -5,12 +5,15 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from primecoprime.groups import cyclic, dicyclic, dihedral, s_indices
+from primecoprime import verification as ver
+from primecoprime.groups import Family, GroupSpec, cyclic, dicyclic, dihedral, s_indices
+from primecoprime.oracles import dominating_vertices
 from primecoprime.pcgraph import (
     CapacityError,
     HJoinCheck,
     SimpleGraph,
     build_theta,
+    class_degrees,
     complete,
     component_count,
     dot_chunks,
@@ -18,7 +21,6 @@ from primecoprime.pcgraph import (
     from_edges,
     graph_to_dot,
     graph_to_json,
-    is_complete,
     join,
     json_chunks,
     validate_partition,
@@ -27,6 +29,7 @@ from primecoprime.pcgraph import (
 from conftest import (
     cycle_graph,
     h_join,
+    is_complete,
     naive_theta,
     reference_graph_to_dot,
     reference_graph_to_json,
@@ -168,6 +171,52 @@ def test_theta_degrees_of_dominating_elements():
         g = build_theta(group)
         for v in s_indices(group):
             assert g.degree(v) == group.order - 1
+
+
+# class_degrees is the cheaper oracle of the degree, dominating-set and
+# completeness claims, so it is held to the expanded graph over these ranges
+CLASS_DEGREE_GROUPS = (
+    [cyclic(n) for n in range(1, 401)]
+    + [dihedral(n) for n in range(3, 201)]
+    + [dicyclic(n) for n in range(2, 101)]
+)
+
+
+def _class_degree_list(group):
+    degrees = [0] * group.order
+    for members, degree in class_degrees(group):
+        for v in members:
+            degrees[v] = degree
+    return degrees
+
+
+def test_class_degrees_match_expanded_graph():
+    for group in CLASS_DEGREE_GROUPS:
+        theta = build_theta(group)
+        assert _class_degree_list(group) == [len(row) for row in theta.adjacency], group
+
+
+def test_class_degrees_match_naive_graph():
+    for family in Family:
+        for n in range(family.min_n, 200 // family.order_factor + 1):
+            group = GroupSpec(family, n)
+            naive = naive_theta(group)
+            expected = [naive.degree(v) for v in range(naive.vertex_count)]
+            assert _class_degree_list(group) == expected, group
+
+
+def test_class_level_verdicts_match_expanded_graph():
+    # the dominating-set and epo-complete records, read off class degrees,
+    # against the dominating vertices and completeness of the built graph
+    for group in CLASS_DEGREE_GROUPS:
+        theta = build_theta(group)
+        dominating = dominating_vertices(theta)
+        n = group.n
+        [dom] = ver.run_dominating_set(group.family, n, n)
+        assert dom.oracle == len(dominating), group
+        assert dom.verdict == ("pass" if s_indices(group) == dominating else "fail"), group
+        [epo] = ver.run_epo_complete(group.family, n, n)
+        assert epo.oracle == is_complete(theta), group
 
 
 def test_dihedral_join_identity():
