@@ -5,7 +5,8 @@
   pcg verify CLAIM [A..B | A..B-by-group-order] [--report PATH] [...]
 
 Exit codes: 0 all checks pass, 1 a verification failed, 2 usage error,
-3 capacity exceeded, 4 a check was inconclusive (budget ran out).
+3 capacity exceeded: above the vertex cap, or out of memory, 4 a check was
+inconclusive (budget ran out).
 """
 
 from __future__ import annotations
@@ -174,6 +175,9 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_verify(args)
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CAPACITY
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_CAPACITY
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,8 +2,11 @@
 
 max_clique is an exact branch-and-bound with greedy colouring bounds; its
 witness is the greedy lexicographic clique when that is maximum, and is
-otherwise rebuilt by exact searches.  hamiltonian_search is a backtracking
-search whose pruning rules are all sound, so exhaustion proves
+otherwise rebuilt by further runs of the same search, each given a floor
+(prune what cannot beat it) and a goal (stop at the first clique that
+large).  dirac_check takes the minimum degree and the vertex count, so a
+caller can read them off the order classes.  hamiltonian_search is a
+backtracking search whose pruning rules are all sound, so exhaustion proves
 non-Hamiltonicity and every verdict carries checkable evidence (a cycle or
 a disconnecting cut).  Nothing here is randomized; identical inputs always
 produce identical outputs.
@@ -93,11 +96,15 @@ def _greedy_color_order(cand: int, adj: list[int]) -> tuple[list[int], list[int]
     return order, bound
 
 
-def _max_size(adj: list[int], cand: int, budget: _Budget) -> int:
-    """Clique number of the subgraph on cand.  Depth-first over the colour
-    order, highest colour first; the parent frames wait on an explicit stack,
-    so the depth is not limited by the interpreter's recursion limit."""
-    best = size = 0
+def _max_size(
+    adj: list[int], cand: int, budget: _Budget, best: int = 0, goal: int | None = None
+) -> int:
+    """Clique number of the subgraph on cand, or the floor best when no
+    clique there is larger; with a goal, the search returns goal as soon as
+    it reaches a clique of that size.  Depth-first over the colour order,
+    highest colour first; the parent frames wait on an explicit stack, so
+    the depth is not limited by the interpreter's recursion limit."""
+    size = 0
     stack: list[tuple[list[int], list[int], int, int, int]] = []
     order, bound = _greedy_color_order(cand, adj)
     i = len(order) - 1
@@ -108,6 +115,8 @@ def _max_size(adj: list[int], cand: int, budget: _Budget) -> int:
             order, bound, i, cand, size = stack.pop()
             continue
         budget.spend()
+        if size + 1 == goal:
+            return goal
         v = order[i]
         sub = cand & adj[v]
         i -= 1
@@ -118,32 +127,6 @@ def _max_size(adj: list[int], cand: int, budget: _Budget) -> int:
             i, cand, size = len(order) - 1, sub, size + 1
         elif size + 1 > best:
             best = size + 1
-
-
-def _exists_clique(adj: list[int], cand: int, k: int, budget: _Budget) -> bool:
-    """True iff cand holds a k-clique; the same search order as _max_size,
-    stopping at the first clique found."""
-    if k <= 0:
-        return True
-    stack: list[tuple[list[int], list[int], int, int, int]] = []
-    order, bound = _greedy_color_order(cand, adj)
-    i = len(order) - 1
-    while True:
-        if i < 0 or bound[i] < k:
-            if not stack:
-                return False
-            order, bound, i, cand, k = stack.pop()
-            continue
-        budget.spend()
-        v = order[i]
-        if k == 1:
-            return True
-        sub = cand & adj[v]
-        i -= 1
-        cand &= ~(1 << v)
-        stack.append((order, bound, i, cand, k))
-        order, bound = _greedy_color_order(sub, adj)
-        i, cand, k = len(order) - 1, sub, k - 1
 
 
 def _greedy_clique(adj: list[int], cand: int) -> list[int]:
@@ -167,7 +150,9 @@ def max_clique(
     (lowest candidate first) reaches it, that clique is the witness: each of
     its vertices is the lowest one through which a maximum clique extends
     the prefix.  Otherwise phase two grows the witness, keeping a vertex
-    exactly when a maximum clique through the current prefix still exists.
+    exactly when a maximum clique through the current prefix still exists
+    (the search on its remaining neighbours reaches the size still missing,
+    its goal, with one less as its floor).
     Both phases share the node budget; the greedy clique spends none.
     """
     n = graph.vertex_count
@@ -188,7 +173,7 @@ def max_clique(
                 if not (cand >> v) & 1:
                     continue
                 sub = cand & adj[v]
-                if need == 1 or _exists_clique(adj, sub, need - 1, budget):
+                if need == 1 or _max_size(adj, sub, budget, need - 2, need - 1) == need - 1:
                     witness.append(v)
                     cand = sub
                     need -= 1
@@ -392,11 +377,12 @@ def cut_witness_check(graph: SimpleGraph, cut) -> bool:
     return component_count(graph, cut_set) > len(cut_set)
 
 
-def dirac_check(graph: SimpleGraph) -> bool:
-    """Minimum-degree bound that forces a Hamiltonian cycle when true."""
-    if graph.vertex_count < 3:
+def dirac_check(min_degree: int, vertex_count: int) -> bool:
+    """Dirac's bound: a graph on vertex_count >= 3 vertices whose minimum
+    degree is at least half of them has a Hamiltonian cycle."""
+    if vertex_count < 3:
         raise ValueError("the degree bound needs at least three vertices")
-    return 2 * graph.min_degree() >= graph.vertex_count
+    return 2 * min_degree >= vertex_count
 
 
 def kl_partition_check(graph: SimpleGraph, partition, k: int, l: int) -> bool:

@@ -6,7 +6,8 @@ order classes (groups.order_classes), assembles one neighbor tuple per class
 and shares it across its members; only classes adjacent to themselves
 (order 1 or prime) need a per-vertex copy with the vertex itself removed.
 class_degrees reads the degrees off the same classes without building any
-row: the degree, dominating-set and completeness claims need nothing more.
+row: the degree, dominating-set and completeness claims and the dihedral
+Hamiltonicity (Dirac) bound need nothing more.
 
 dot_chunks and json_chunks yield the export one vertex row at a time, so a
 caller that writes the pieces as they come never holds the whole text;
@@ -37,7 +38,6 @@ __all__ = [
     "SimpleGraph",
     "empty_graph",
     "complete",
-    "from_edges",
     "join",
     "check_vertex_cap",
     "class_degrees",
@@ -80,9 +80,6 @@ class SimpleGraph:
             raise ValueError("labels must align with the vertex list")
         self.labels = labels
 
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
     def min_degree(self) -> int:
         if self.vertex_count == 0:
             raise ValueError("minimum degree of an empty graph is undefined")
@@ -90,11 +87,6 @@ class SimpleGraph:
 
     def edge_count(self) -> int:
         return sum(len(nbrs) for nbrs in self.adjacency) // 2
-
-    def has_edge(self, u: int, v: int) -> bool:
-        nbrs = self.adjacency[u]
-        i = bisect_left(nbrs, v)
-        return i < len(nbrs) and nbrs[i] == v
 
     def neighbor_sets(self) -> tuple[frozenset[int], ...]:
         return tuple(frozenset(nbrs) for nbrs in self.adjacency)
@@ -106,9 +98,6 @@ class SimpleGraph:
             self.vertex_count == other.vertex_count
             and self.adjacency == other.adjacency
         )
-
-    def __hash__(self) -> int:
-        return hash(self.adjacency)
 
     def __repr__(self) -> str:
         return f"SimpleGraph(vertices={self.vertex_count}, edges={self.edge_count()})"
@@ -127,23 +116,6 @@ def complete(m: int) -> SimpleGraph:
         raise ValueError("vertex count must be >= 0")
     base = tuple(range(m))
     return SimpleGraph(tuple(base[:v] + base[v + 1 :] for v in range(m)))
-
-
-def from_edges(
-    m: int, edges: list[tuple[int, int]] | tuple[tuple[int, int], ...]
-) -> SimpleGraph:
-    """Graph on m vertices with the given edges (validated, deduplicated)."""
-    if m < 0:
-        raise ValueError("vertex count must be >= 0")
-    nbrs: list[set[int]] = [set() for _ in range(m)]
-    for u, v in edges:
-        if not (0 <= u < m and 0 <= v < m):
-            raise ValueError(f"edge ({u},{v}) out of range for {m} vertices")
-        if u == v:
-            raise ValueError(f"self-loop at vertex {u}")
-        nbrs[u].add(v)
-        nbrs[v].add(u)
-    return SimpleGraph(tuple(tuple(sorted(s)) for s in nbrs))
 
 
 def join(a: SimpleGraph, b: SimpleGraph) -> SimpleGraph:

@@ -7,9 +7,10 @@ check, which returns none for a group the claim does not speak about.  Every
 run_* family sweep ends in the same by_order=False, limits=Limits(), so the
 CLAIMS table names them directly.
 
-The degree, dominating-set and completeness oracles read vertex degrees off
-the order classes (pcgraph.class_degrees), and decomp-* checks its H-join
-between classes, so none of them builds the graph.  The clique,
+The degree, dominating-set and completeness oracles, and the dihedral
+Hamiltonicity bound, read vertex degrees off the order classes
+(pcgraph.class_degrees), and decomp-* checks its H-join between classes, so
+none of them builds the graph.  The clique, cyclic and dicyclic
 Hamiltonicity, ham-cut and join-identity oracles run on the graph that
 build_theta expands.
 
@@ -296,16 +297,18 @@ def run_ham(
     family: Family, lo: int, hi: int, by_order: bool = False, limits: Limits = Limits()
 ) -> list[ClaimRecord]:
     """Hamiltonicity characterization against search (cyclic, dicyclic) or
-    the minimum-degree bound (dihedral, where it always applies)."""
+    the minimum-degree bound (dihedral, where it always applies; the minimum
+    degree is read off the order classes, so the graph is not built)."""
     claim = f"ham-{family.value}"
 
     def check(group: GroupSpec) -> list[ClaimRecord]:
         formula = cf.is_hamiltonian(group)
-        theta = build_theta(group, limits.vertex_cap)
         if family is Family.DIHEDRAL:
-            found = oracles.dirac_check(theta)
-            certificate = f"min-degree={theta.min_degree()},vertices={theta.vertex_count}"
+            low = min(degree for _, degree in class_degrees(group, limits.vertex_cap))
+            found = oracles.dirac_check(low, group.order)
+            certificate = f"min-degree={low},vertices={group.order}"
         else:
+            theta = build_theta(group, limits.vertex_cap)
             evidence = oracles.hamiltonian_search(theta, limits.ham_budget)
             if evidence.verdict is oracles.Verdict.INCONCLUSIVE:
                 return [

@@ -13,7 +13,7 @@ import math
 from itertools import combinations, permutations
 
 from primecoprime.groups import Family, GroupSpec, elements
-from primecoprime.pcgraph import SimpleGraph, from_edges
+from primecoprime.pcgraph import SimpleGraph
 
 
 def naive_is_prime(k: int) -> bool:
@@ -62,6 +62,25 @@ def naive_element_order(group: GroupSpec, element) -> int:
         acc = mul(acc, start)
         k += 1
     return k
+
+
+def from_edges(m: int, edges) -> SimpleGraph:
+    """Graph on m vertices with the given edges (validated, deduplicated)."""
+    if m < 0:
+        raise ValueError("vertex count must be >= 0")
+    nbrs: list[set[int]] = [set() for _ in range(m)]
+    for u, v in edges:
+        if not (0 <= u < m and 0 <= v < m):
+            raise ValueError(f"edge ({u},{v}) out of range for {m} vertices")
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    return SimpleGraph(tuple(tuple(sorted(s)) for s in nbrs))
+
+
+def has_edge(graph: SimpleGraph, u: int, v: int) -> bool:
+    return v in graph.adjacency[u]
 
 
 def cycle_graph(m: int) -> SimpleGraph:
@@ -144,7 +163,7 @@ def brute_max_clique(graph: SimpleGraph) -> tuple[int, tuple[int, ...]]:
     n = graph.vertex_count
     for size in range(n, 0, -1):
         for combo in combinations(range(n), size):
-            if all(graph.has_edge(u, v) for u, v in combinations(combo, 2)):
+            if all(has_edge(graph, u, v) for u, v in combinations(combo, 2)):
                 return size, combo
     return 0, ()
 
@@ -158,7 +177,7 @@ def brute_hamiltonian(graph: SimpleGraph) -> bool:
     for perm in permutations(rest):
         cycle = (0,) + perm
         if all(
-            graph.has_edge(cycle[i], cycle[(i + 1) % n]) for i in range(n)
+            has_edge(graph, cycle[i], cycle[(i + 1) % n]) for i in range(n)
         ):
             return True
     return False
@@ -167,4 +186,4 @@ def brute_hamiltonian(graph: SimpleGraph) -> bool:
 def assert_valid_cycle(graph: SimpleGraph, cycle: tuple[int, ...]) -> None:
     assert sorted(cycle) == list(range(graph.vertex_count))
     for i, u in enumerate(cycle):
-        assert graph.has_edge(u, cycle[(i + 1) % len(cycle)])
+        assert has_edge(graph, u, cycle[(i + 1) % len(cycle)])

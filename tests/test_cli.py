@@ -137,6 +137,15 @@ def test_theta_capacity_exit(capsys):
     assert err.startswith("error:")
 
 
+def test_out_of_memory_is_a_capacity_exit(capsys, monkeypatch):
+    def build(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "build_theta", build)
+    code, out, err = run(capsys, "theta", "cyclic", "12")
+    assert (code, out, err) == (3, "", "error: out of memory\n")
+
+
 def test_decomp_capacity_exit(capsys):
     # the class-level check builds no graph, but still honours the cap
     code, out, err = run(capsys, "verify", "decomp-cyclic", "12..12", "--vertex-cap", "5")
@@ -160,6 +169,13 @@ def test_degree_claims_capacity_exit(argv, capsys):
     assert err == "error: cyclic(n=12) has 12 elements, above the cap of 5\n"
 
 
+def test_ham_dihedral_capacity_exit(capsys):
+    # the Dirac bound reads class degrees, under the same cap
+    code, out, err = run(capsys, "verify", "ham-dihedral", "3..3", "--vertex-cap", "5")
+    assert (code, out) == (3, "")
+    assert err == "error: dihedral(n=3) has 6 elements, above the cap of 5\n"
+
+
 def _refuse_expansion(*args, **kwargs):
     raise AssertionError("the claim expanded the graph")
 
@@ -172,7 +188,9 @@ def test_decomp_never_expands_the_graph(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "name", ["degree-cyclic", "degree-dihedral", "degree-dicyclic", "dominating-set", "epo-complete"]
+    "name",
+    ["degree-cyclic", "degree-dihedral", "degree-dicyclic", "dominating-set", "epo-complete",
+     "ham-dihedral"],
 )
 def test_degree_claims_never_expand_the_graph(name, monkeypatch):
     monkeypatch.setattr(ver, "build_theta", _refuse_expansion)

@@ -22,11 +22,16 @@ from primecoprime.pcgraph import (
     build_theta,
     complete,
     empty_graph,
-    from_edges,
     join,
 )
 from primecoprime.verification import run_clique, run_epo_complete
-from conftest import assert_valid_cycle, brute_hamiltonian, brute_max_clique, cycle_graph
+from conftest import (
+    assert_valid_cycle,
+    brute_hamiltonian,
+    brute_max_clique,
+    cycle_graph,
+    from_edges,
+)
 
 
 def petersen():
@@ -107,6 +112,32 @@ def test_max_clique_complete_graph_spends_one_node_per_vertex():
     assert max_clique(complete(300), node_budget=300) == CliqueResult(300, tuple(range(300)))
     with pytest.raises(BudgetExceededError):
         max_clique(complete(300), node_budget=299)
+
+
+def _greedy_clique(graph):
+    # lowest candidate first, narrowed to its neighbours: what phase one offers
+    clique, cand = [], set(range(graph.vertex_count))
+    while cand:
+        v = min(cand)
+        clique.append(v)
+        cand &= set(graph.adjacency[v])
+    return clique
+
+
+@pytest.mark.parametrize(
+    "group, budget",
+    [(cyclic(12), 21), (cyclic(30), 66), (cyclic(60), 79), (dihedral(30), 861),
+     (dicyclic(15), 78)],
+    ids=str,
+)
+def test_max_clique_least_budget_with_witness_rebuild(group, budget):
+    # the greedy clique falls short here, so phase two rebuilds the witness;
+    # budget is the least node count both phases together get through on
+    theta = build_theta(group)
+    result = max_clique(theta, budget)
+    assert len(_greedy_clique(theta)) < result.size
+    with pytest.raises(BudgetExceededError):
+        max_clique(theta, budget - 1)
 
 
 def test_max_clique_rebuilds_witness_when_greedy_is_not_maximum():
@@ -215,11 +246,11 @@ def test_cut_witness_check():
 
 
 def test_dirac_check():
-    assert dirac_check(complete(4))
-    assert not dirac_check(cycle_graph(6))
-    assert dirac_check(cycle_graph(3))
+    assert dirac_check(3, 4)  # K_4
+    assert not dirac_check(2, 6)  # C_6
+    assert dirac_check(2, 3)  # C_3
     with pytest.raises(ValueError):
-        dirac_check(complete(2))
+        dirac_check(1, 2)  # K_2
 
 
 def test_dominating_vertices():
