@@ -15,9 +15,6 @@ from .closedforms import (
     clique_dihedral,
     clique_number,
     decomposition_catalog,
-    degree_cyclic,
-    degree_dicyclic,
-    degree_dihedral,
     is_hamiltonian,
     is_hamiltonian_cyclic,
     is_hamiltonian_dicyclic,
@@ -50,11 +47,9 @@ from .oracles import (
     CliqueResult,
     HamiltonicityEvidence,
     Verdict,
-    cut_witness_check,
     dirac_check,
     dominating_vertices,
     hamiltonian_search,
-    kl_partition_check,
     max_clique,
 )
 from .pcgraph import (
@@ -78,9 +73,6 @@ __all__ = [
     "clique_dihedral",
     "clique_number",
     "decomposition_catalog",
-    "degree_cyclic",
-    "degree_dicyclic",
-    "degree_dihedral",
     "is_hamiltonian",
     "is_hamiltonian_cyclic",
     "is_hamiltonian_dicyclic",
@@ -107,11 +99,9 @@ __all__ = [
     "CliqueResult",
     "HamiltonicityEvidence",
     "Verdict",
-    "cut_witness_check",
     "dirac_check",
     "dominating_vertices",
     "hamiltonian_search",
-    "kl_partition_check",
     "max_clique",
     "CapacityError",
     "SimpleGraph",

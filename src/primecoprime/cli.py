@@ -14,8 +14,11 @@ from __future__ import annotations
 import argparse
 import os
 import re
+import stat
 import sys
-from contextlib import nullcontext
+from collections.abc import Iterator
+from contextlib import contextmanager, suppress
+from typing import TextIO
 
 from . import verification as ver
 from .closedforms import clique_number, decomposition_catalog, is_hamiltonian, theta_degree
@@ -80,10 +83,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextmanager
+def _output_file(path: str | None, default: TextIO | None = None) -> Iterator[TextIO | None]:
+    """Yield path opened for writing, or default when there is no path.  The
+    file opens before the work, so an unwritable path fails first; if the work
+    raises, a regular file (not a device or a symlink) at path is removed, so
+    a failed command leaves no partial output."""
+    if path is None:
+        yield default
+        return
+    out = open(path, "w")
+    try:
+        with out:
+            yield out
+    except BaseException:
+        with suppress(OSError):
+            if stat.S_ISREG(os.lstat(path).st_mode):
+                os.remove(path)
+        raise
+
+
 def _cmd_theta(args: argparse.Namespace) -> int:
     group = GroupSpec(Family(args.family), args.n)
-    # open the output first, so an unwritable path fails before the build
-    with open(args.output, "w") if args.output is not None else nullcontext(sys.stdout) as out:
+    with _output_file(args.output, sys.stdout) as out:
         graph = build_theta(group, args.vertex_cap)
         if args.format == "dot":
             chunks = dot_chunks(graph)
@@ -147,8 +169,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     lo, hi, by_order = claim.default if args.range is None else _parse_range(args.range)
     families = None if args.family == "all" else [Family(args.family)]
     limits = ver.Limits(args.clique_budget, args.ham_budget, args.vertex_cap)
-    # open the report first, so an unwritable path fails before the sweep
-    with open(args.report, "w") if args.report is not None else nullcontext() as report:
+    with _output_file(args.report) as report:
         records = claim.run(lo, hi, by_order, families, limits)
         if not records:
             span = f"{lo}..{hi}" + ("-by-group-order" if by_order else "")

@@ -1,6 +1,9 @@
 """Closed forms for the prime coprime graph: clique numbers, vertex degrees,
 Hamiltonicity tests, and the H-join decomposition catalog.
 
+A vertex degree depends only on the element's order, so theta_degree is one
+closed form for all three families, keyed by that order.
+
 Catalog coverage, by the factorization shape of the parameter n:
 
   cyclic / dihedral   p, pq, p^m (m>=2), pq^m (m>=2), p^lq^m (l,m>=2), pqr
@@ -20,15 +23,12 @@ by its family kind's part table, _CD_PARTS or _DIC_PARTS.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .groups import (
     Family,
     GroupElement,
     GroupSpec,
-    cyclic,
-    dicyclic,
-    dihedral,
+    _is_one_or_prime,
     element_at,
     element_order,
     order_classes,
@@ -40,9 +40,6 @@ __all__ = [
     "clique_dihedral",
     "clique_dicyclic",
     "clique_number",
-    "degree_cyclic",
-    "degree_dihedral",
-    "degree_dicyclic",
     "theta_degree",
     "theta_degrees",
     "is_hamiltonian_cyclic",
@@ -103,10 +100,6 @@ def clique_number(group: GroupSpec) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _is_composite(d: int) -> bool:
-    return d > 1 and not is_prime(d)
-
-
 def _capped_exponents(d: int, primes: tuple[int, ...]) -> tuple[int, ...]:
     """Exponent of each prime in d, capped at 2: the degree expansion and the
     part tables tell only 0, 1 and "2 or more" apart."""
@@ -114,87 +107,43 @@ def _capped_exponents(d: int, primes: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _composite_degree(fact: Factorization, d: int) -> int:
-    """Degree of a composite-order vertex in the prime coprime graph of the
-    cyclic group of order fact.value, by the admissible-subset expansion:
-    sum over a in {0,1}^k with at most one a_i = 1 on the support of d, of
-    prod (p_i**gamma_i - 1)**a_i.
+    """Number of elements of the cyclic group Z_m, m = fact.value, adjacent to
+    an element of order d: those whose order meets d in a gcd of 1 or a
+    prime.  d need not divide m.
 
-    With alpha_i the exponents of the group order and beta_i those of the
-    divisor d, the effective exponent gamma_i is 1 where beta_i >= 2 and
-    alpha_i otherwise.
+    This is the admissible-subset expansion, sum over a in {0,1}^k with at
+    most one a_i = 1 on the support of d of prod (p_i**gamma_i - 1)**a_i,
+    in product form: each prime off the support contributes its whole
+    p_i**alpha_i, and the support contributes 1 + sum (p_i**gamma_i - 1).
+    With alpha_i the exponents of m and beta_i those of d, the effective
+    exponent gamma_i is 1 where beta_i >= 2 and alpha_i otherwise.
     """
-    support = []
-    weights = []  # p_i**gamma_i - 1
+    off_support, on_support = 1, 1
     betas = _capped_exponents(d, fact.primes)
-    for i, (p, alpha, beta) in enumerate(zip(fact.primes, fact.exponents, betas)):
-        if beta >= 1:
-            support.append(i)
-        weights.append(p ** (1 if beta >= 2 else alpha) - 1)
-    total = 0
-    for picks in product((0, 1), repeat=fact.prime_count):
-        if sum(picks[i] for i in support) > 1:
-            continue
-        term = 1
-        for weight, a in zip(weights, picks):
-            if a:
-                term *= weight
-        total += term
-    return total
-
-
-def degree_cyclic(n: int, x: GroupElement) -> int:
-    """Degree of a composite-order vertex of the prime coprime graph of Z_n.
-
-    Identity and prime-order elements are rejected here; they are dominating
-    vertices of degree n - 1 and theta_degree handles them.
-    """
-    group = cyclic(n)
-    d = element_order(group, x)
-    if not _is_composite(d):
-        raise ValueError(
-            f"{x} has order {d}; only composite orders have a nontrivial form"
-        )
-    return _composite_degree(factorize(n), d)
-
-
-def degree_dihedral(n: int, x: GroupElement) -> int:
-    """Degree of any vertex of the prime coprime graph of D_n."""
-    group = dihedral(n)
-    d = element_order(group, x)
-    if not _is_composite(d):
-        return 2 * n - 1
-    return n + _composite_degree(factorize(n), d)
-
-
-def degree_dicyclic(n: int, x: GroupElement) -> int:
-    """Degree of any vertex of the prime coprime graph of Q_n.
-
-    Composite orders divisible by 4 keep the plain cyclic expansion over
-    Z_2n; other composite orders gain the 2n vertices outside the cyclic
-    part.  For odd n the outside vertices themselves see exactly the 2n
-    vertices of the cyclic part.
-    """
-    group = dicyclic(n)
-    d = element_order(group, x)
-    if not _is_composite(d):
-        return 4 * n - 1
-    if x.kind == "ab" and n % 2 == 1:
-        return 2 * n
-    if d % 4 == 0:
-        return _composite_degree(factorize(2 * n), d)
-    return 2 * n + _composite_degree(factorize(2 * n), d)
+    for p, alpha, beta in zip(fact.primes, fact.exponents, betas):
+        if beta == 0:
+            off_support *= p**alpha
+        else:
+            on_support += p ** (1 if beta >= 2 else alpha) - 1
+    return off_support * on_support
 
 
 def theta_degree(group: GroupSpec, x: GroupElement) -> int:
-    """Degree of any vertex, any family; dominating vertices give |G| - 1."""
-    if group.family is Family.CYCLIC:
-        d = element_order(group, x)
-        if not _is_composite(d):
-            return group.order - 1
-        return degree_cyclic(group.n, x)
-    if group.family is Family.DIHEDRAL:
-        return degree_dihedral(group.n, x)
-    return degree_dicyclic(group.n, x)
+    """Degree of any vertex, any family, read off the element's order d.
+
+    Orders 1 and prime dominate: |G| - 1.  A composite order sees
+    _composite_degree of the cyclic part Z_m (m = n, or 2n for Q_n); in D_n
+    also the n reflections, and in Q_n also the 2n elements outside the
+    cyclic part (order 4) when 4 does not divide d.
+    """
+    d = element_order(group, x)
+    if _is_one_or_prime(d):
+        return group.order - 1
+    n = group.n
+    if group.family is Family.DICYCLIC:
+        return (2 * n if d % 4 else 0) + _composite_degree(factorize(2 * n), d)
+    reflections = n if group.family is Family.DIHEDRAL else 0
+    return reflections + _composite_degree(factorize(n), d)
 
 
 def theta_degrees(group: GroupSpec) -> list[int]:
@@ -470,6 +419,6 @@ def catalog_partition(entry: DecompositionEntry) -> tuple[tuple[int, ...], ...]:
         table, primes = _CD_PARTS[entry.pattern], entry.primes
     buckets: list[list[int]] = [[] for _ in entry.sizes]
     for d, members in order_classes(GroupSpec(entry.family, entry.n)).items():
-        part = table[_capped_exponents(d, primes)] if _is_composite(d) else 0
+        part = 0 if _is_one_or_prime(d) else table[_capped_exponents(d, primes)]
         buckets[part] += members
     return tuple(tuple(sorted(b)) for b in buckets)

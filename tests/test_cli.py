@@ -146,6 +146,45 @@ def test_out_of_memory_is_a_capacity_exit(capsys, monkeypatch):
     assert (code, out, err) == (3, "", "error: out of memory\n")
 
 
+def test_failed_theta_leaves_no_output_file(tmp_path, capsys, monkeypatch):
+    target = tmp_path / "x.dot"
+    code, out, err = run(capsys, "theta", "cyclic", "5", "--vertex-cap", "3", "-o", str(target))
+    assert (code, out) == (3, "") and err.startswith("error:")
+    assert not target.exists()
+
+    def build(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "build_theta", build)
+    code, out, err = run(capsys, "theta", "cyclic", "12", "-o", str(target))
+    assert (code, out, err) == (3, "", "error: out of memory\n")
+    assert not target.exists()
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (("verify", "clique-cyclic", "12..12", "--vertex-cap", "5"), 3),
+        (("verify", "ham-cut-cyclic", "3..7"), 2),
+    ],
+    ids=["capacity", "checks-nothing"],
+)
+def test_failed_verify_leaves_no_report(argv, code, tmp_path, capsys):
+    report = tmp_path / "r.jsonl"
+    got, out, err = run(capsys, *argv, "--report", str(report))
+    assert (got, out) == (code, "") and err.startswith("error:")
+    assert not report.exists()
+
+
+def test_failed_theta_keeps_a_symlinked_output(tmp_path, capsys):
+    # only a regular file is removed: a link (say /dev/stdout) stays in place
+    link = tmp_path / "link.dot"
+    link.symlink_to(tmp_path / "target.dot")
+    code, out, err = run(capsys, "theta", "cyclic", "5", "--vertex-cap", "3", "-o", str(link))
+    assert code == 3
+    assert link.is_symlink() and (tmp_path / "target.dot").exists()
+
+
 def test_decomp_capacity_exit(capsys):
     # the class-level check builds no graph, but still honours the cap
     code, out, err = run(capsys, "verify", "decomp-cyclic", "12..12", "--vertex-cap", "5")

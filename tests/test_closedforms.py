@@ -2,6 +2,7 @@
 
 import hashlib
 from itertools import combinations
+from math import gcd
 
 import pytest
 
@@ -12,9 +13,6 @@ from primecoprime.closedforms import (
     clique_dicyclic,
     clique_dihedral,
     decomposition_catalog,
-    degree_cyclic,
-    degree_dicyclic,
-    degree_dihedral,
     is_hamiltonian_cyclic,
     is_hamiltonian_dicyclic,
     is_hamiltonian_dihedral,
@@ -33,6 +31,7 @@ from primecoprime.groups import (
     parse_element,
     s_indices,
 )
+from primecoprime.numtheory import divisors, factorize, is_prime
 from primecoprime.oracles import (
     Verdict,
     dirac_check,
@@ -110,26 +109,43 @@ def test_exponent_profile():
     # (1, 2) and the expansion is 1 + (2^1 - 1) + (3^2 - 1); the exponents
     # of 72 itself, (3, 2), would give 1 + 7 + 8
     g6 = parse_element("g6")
-    assert degree_cyclic(72, g6) == 10
+    assert theta_degree(cyclic(72), g6) == 10
     assert len(build_theta(cyclic(72)).adjacency[6]) == 10
 
 
 def test_degree_frozen_examples():
-    assert degree_cyclic(12, parse_element("g1")) == 4
-    assert degree_cyclic(12, parse_element("g2")) == 6
-    assert degree_dihedral(12, parse_element("r1")) == 16
-    assert degree_dihedral(5, parse_element("s0")) == 9
-    assert degree_dicyclic(3, parse_element("a1")) == 10
-    assert degree_dicyclic(3, parse_element("a0b")) == 6
-    assert degree_dicyclic(4, parse_element("a0b")) == 2
-    assert degree_dicyclic(4, parse_element("a1")) == 2
+    assert theta_degree(cyclic(12), parse_element("g1")) == 4
+    assert theta_degree(cyclic(12), parse_element("g2")) == 6
+    assert theta_degree(dihedral(12), parse_element("r1")) == 16
+    assert theta_degree(dihedral(5), parse_element("s0")) == 9
+    assert theta_degree(dicyclic(3), parse_element("a1")) == 10
+    assert theta_degree(dicyclic(3), parse_element("a0b")) == 6
+    assert theta_degree(dicyclic(4), parse_element("a0b")) == 2
+    assert theta_degree(dicyclic(4), parse_element("a1")) == 2
 
 
-def test_degree_cyclic_rejects_dominating_orders():
+def test_composite_degree_counts_adjacent_elements_of_zm():
+    # the product form against a count over Z_m, for every d dividing m and
+    # for d = 4, which in Q_n with n odd does not divide m = 2n
+    for m in range(2, 121):
+        fact = factorize(m)
+        orders = [m // gcd(m, i) for i in range(m)]
+        for d in {*divisors(m), 4}:
+            count = sum(1 for e in orders if gcd(e, d) == 1 or is_prime(gcd(e, d)))
+            assert closedforms._composite_degree(fact, d) == count, (m, d)
+
+
+def test_dominating_orders_have_full_degree():
     for label in ("g0", "g6", "g4"):  # orders 1, 2, 3 in Z_12
-        with pytest.raises(ValueError):
-            degree_cyclic(12, parse_element(label))
-    assert theta_degree(cyclic(12), parse_element("g0")) == 11
+        assert theta_degree(cyclic(12), parse_element(label)) == 11
+
+
+def test_dicyclic_outside_degree_odd_n():
+    # for odd n an element outside the cyclic part has order 4, which does
+    # not divide 2n, so it sees exactly the 2n elements of the cyclic part
+    a0b = parse_element("a0b")
+    for n in range(3, 600, 2):
+        assert theta_degree(dicyclic(n), a0b) == 2 * n
 
 
 @pytest.mark.parametrize(
