@@ -11,8 +11,6 @@ from .closedforms import (
     DecompositionEntry,
     catalog_partition,
     clique_cyclic,
-    clique_dicyclic,
-    clique_dihedral,
     clique_number,
     decomposition_catalog,
     is_hamiltonian,
@@ -69,8 +67,6 @@ __all__ = [
     "DecompositionEntry",
     "catalog_partition",
     "clique_cyclic",
-    "clique_dicyclic",
-    "clique_dihedral",
     "clique_number",
     "decomposition_catalog",
     "is_hamiltonian",

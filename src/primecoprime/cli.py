@@ -126,6 +126,8 @@ def _cmd_theta(args: argparse.Namespace) -> int:
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
+    if args.element is not None and args.what != "degree":
+        raise ValueError(f"{args.what} queries take no element label")
     group = GroupSpec(Family(args.family), args.n)
     if args.what == "clique":
         print(clique_number(group))

@@ -37,8 +37,6 @@ from .numtheory import Factorization, factorize, is_prime
 
 __all__ = [
     "clique_cyclic",
-    "clique_dihedral",
-    "clique_dicyclic",
     "clique_number",
     "theta_degree",
     "theta_degrees",
@@ -71,28 +69,15 @@ def clique_cyclic(n: int) -> int:
     )
 
 
-def clique_dihedral(n: int) -> int:
-    """Clique number for D_n, n >= 3: the reflections extend every clique."""
-    if n < 3:
-        raise ValueError(f"clique_dihedral needs n >= 3, got {n}")
-    return n + clique_cyclic(n)
-
-
-def clique_dicyclic(n: int) -> int:
-    """Clique number for Q_n, n >= 2: the cyclic part dominates, one extra
-    vertex outside it fits exactly when n is odd."""
-    if n < 2:
-        raise ValueError(f"clique_dicyclic needs n >= 2, got {n}")
-    return clique_cyclic(2 * n) + (1 if n % 2 == 1 else 0)
-
-
 def clique_number(group: GroupSpec) -> int:
-    """Clique number of the group's graph, by its family's closed form."""
-    if group.family is Family.CYCLIC:
-        return clique_cyclic(group.n)
-    if group.family is Family.DIHEDRAL:
-        return clique_dihedral(group.n)
-    return clique_dicyclic(group.n)
+    """Clique number of the group's graph: clique_cyclic(m) of the cyclic
+    part, plus the coset's share.  The n reflections of D_n (order 2, a
+    prime) see every vertex and all join the clique; the coset of Q_n (order
+    4) is an independent set, one of whose elements fits exactly when n is
+    odd."""
+    m = group.cyclic_order
+    coset = group.n % 2 if group.family.coset_order == 4 else group.order - m
+    return clique_cyclic(m) + coset
 
 
 # ---------------------------------------------------------------------------
@@ -132,18 +117,15 @@ def theta_degree(group: GroupSpec, x: GroupElement) -> int:
     """Degree of any vertex, any family, read off the element's order d.
 
     Orders 1 and prime dominate: |G| - 1.  A composite order sees
-    _composite_degree of the cyclic part Z_m (m = n, or 2n for Q_n); in D_n
-    also the n reflections, and in Q_n also the 2n elements outside the
-    cyclic part (order 4) when 4 does not divide d.
+    _composite_degree of the cyclic part Z_m, and the m elements of the
+    coset too, unless their order is 4 (Q_n) and 4 divides d.
     """
     d = element_order(group, x)
     if _is_one_or_prime(d):
         return group.order - 1
-    n = group.n
-    if group.family is Family.DICYCLIC:
-        return (2 * n if d % 4 else 0) + _composite_degree(factorize(2 * n), d)
-    reflections = n if group.family is Family.DIHEDRAL else 0
-    return reflections + _composite_degree(factorize(n), d)
+    m = group.cyclic_order
+    coset = 0 if group.family.coset_order == 4 and d % 4 == 0 else group.order - m
+    return coset + _composite_degree(factorize(m), d)
 
 
 def theta_degrees(group: GroupSpec) -> list[int]:

@@ -1,9 +1,11 @@
 """Cyclic, dihedral and dicyclic groups as labelled element families.
 
-Element orders come from the standard closed forms (order of a power of a
-generator, involutions outside the rotation part, and so on); no
-multiplication tables are built here.  The canonical element listing fixes
-the vertex order used everywhere else:
+All three families share one layout, stated once on Family: a cyclic part of
+order m (m = n for Z_n and D_n, m = 2n for Q_n), plus, for D_n and Q_n, one
+coset of m elements that all have the same order (2 in D_n, 4 in Q_n).  The
+cyclic part's element i has order m / gcd(m, i); no multiplication tables
+are built here.  The canonical listing, cyclic part first, fixes the vertex
+order used everywhere else:
 
   cyclic    Z_n  g0 .. g(n-1)
   dihedral  D_n  r0 .. r(n-1), s0 .. s(n-1)
@@ -39,32 +41,34 @@ __all__ = [
 
 
 class Family(Enum):
-    """A group family: its name (the value, as the CLI spells it), the least
-    n it is defined for, and the group order per unit of n."""
+    """A group family and its layout.  The value is the name as the CLI
+    spells it, and min_n the least n the family is defined for.  The cyclic
+    part has order m = cyclic_factor * n; the coset (None in Z_n) holds m
+    elements of kind coset_kind and order coset_order.  kinds lists the
+    label kinds in listing order, and order_factor is |G| / n."""
 
-    CYCLIC = ("cyclic", 1, 1)
-    DIHEDRAL = ("dihedral", 3, 2)
-    DICYCLIC = ("dicyclic", 2, 4)
+    CYCLIC = ("cyclic", 1, 1, "g", None, None)
+    DIHEDRAL = ("dihedral", 3, 1, "r", "s", 2)
+    DICYCLIC = ("dicyclic", 2, 2, "a", "ab", 4)
 
-    def __new__(cls, value: str, min_n: int, order_factor: int) -> Family:
+    def __new__(cls, value: str, min_n: int, cyclic_factor: int, cyclic_kind: str,
+                coset_kind: str | None, coset_order: int | None) -> Family:
         member = object.__new__(cls)
         member._value_ = value
         member.min_n = min_n
-        member.order_factor = order_factor
+        member.cyclic_factor = cyclic_factor
+        member.coset_kind = coset_kind
+        member.coset_order = coset_order
+        member.kinds = (cyclic_kind,) if coset_kind is None else (cyclic_kind, coset_kind)
+        member.order_factor = cyclic_factor * len(member.kinds)
         return member
 
 
-# kind -> family that owns it
-_KIND_FAMILY = {
-    "g": Family.CYCLIC,
-    "r": Family.DIHEDRAL,
-    "s": Family.DIHEDRAL,
-    "a": Family.DICYCLIC,
-    "ab": Family.DICYCLIC,
-}
+# every label kind, each owned by one family
+_KINDS = frozenset(kind for family in Family for kind in family.kinds)
 
 # the index is written without leading zeros, so every element has one label
-_ELEMENT_RE = re.compile(r"([grs])(0|[1-9][0-9]*)|a(0|[1-9][0-9]*)(b?)")
+_ELEMENT_RE = re.compile(r"([grsa])(0|[1-9][0-9]*)(b?)")
 
 
 @dataclass(frozen=True, order=True)
@@ -75,16 +79,15 @@ class GroupElement:
     index: int
 
     def __post_init__(self) -> None:
-        if self.kind not in _KIND_FAMILY:
+        if self.kind not in _KINDS:
             raise ValueError(f"unknown element kind {self.kind!r}")
         if self.index < 0:
             raise ValueError(f"element index must be >= 0, got {self.index}")
 
     def text(self) -> str:
-        """Canonical text form, e.g. g5, r2, s0, a7, a3b."""
-        if self.kind == "ab":
-            return f"a{self.index}b"
-        return f"{self.kind}{self.index}"
+        """Canonical text form, e.g. g5, r2, s0, a7, a3b: the index goes
+        after the kind's first letter."""
+        return f"{self.kind[0]}{self.index}{self.kind[1:]}"
 
     def __str__(self) -> str:
         return self.text()
@@ -93,12 +96,10 @@ class GroupElement:
 def parse_element(text: str) -> GroupElement:
     """Parse a canonical element label such as g5, r2, s0, a7 or a3b."""
     m = _ELEMENT_RE.fullmatch(text)
-    if m is None:
+    kind = m.group(1) + m.group(3) if m else None
+    if kind not in _KINDS:
         raise ValueError(f"cannot parse element label {text!r}")
-    if m.group(1) is not None:
-        return GroupElement(m.group(1), int(m.group(2)))
-    kind = "ab" if m.group(4) else "a"
-    return GroupElement(kind, int(m.group(3)))
+    return GroupElement(kind, int(m.group(2)))
 
 
 @dataclass(frozen=True)
@@ -117,6 +118,11 @@ class GroupSpec:
     @property
     def order(self) -> int:
         return self.family.order_factor * self.n
+
+    @property
+    def cyclic_order(self) -> int:
+        """m, the order of the cyclic part and the size of the coset."""
+        return self.family.cyclic_factor * self.n
 
     def __str__(self) -> str:
         return f"{self.family.value}(n={self.n})"
@@ -142,62 +148,43 @@ def elements(group: GroupSpec) -> list[GroupElement]:
 def element_labels(group: GroupSpec) -> list[str]:
     """Canonical text labels of all elements, in canonical order; the same
     as [e.text() for e in elements(group)] without building the elements."""
-    n = group.n
-    if group.family is Family.CYCLIC:
-        return [f"g{i}" for i in range(n)]
-    if group.family is Family.DIHEDRAL:
-        return [f"r{i}" for i in range(n)] + [f"s{i}" for i in range(n)]
-    return [f"a{i}" for i in range(2 * n)] + [f"a{i}b" for i in range(2 * n)]
-
-
-def _check_membership(group: GroupSpec, element: GroupElement) -> None:
-    if _KIND_FAMILY[element.kind] is not group.family:
-        raise ValueError(f"element {element} does not belong to a {group.family.value} group")
-    limit = 2 * group.n if group.family is Family.DICYCLIC else group.n
-    if element.index >= limit:
-        raise ValueError(f"element {element} out of range for {group}")
+    m = group.cyclic_order
+    affixes = [(kind[0], kind[1:]) for kind in group.family.kinds]  # as in GroupElement.text
+    return [f"{head}{i}{tail}" for head, tail in affixes for i in range(m)]
 
 
 def element_at(group: GroupSpec, index: int) -> GroupElement:
     """Element at this position of the canonical listing."""
     if not 0 <= index < group.order:
         raise ValueError(f"index {index} out of range for {group}")
-    if group.family is Family.CYCLIC:
-        return GroupElement("g", index)
-    inner, outer = ("r", "s") if group.family is Family.DIHEDRAL else ("a", "ab")
-    half = group.order // 2
-    if index < half:
-        return GroupElement(inner, index)
-    return GroupElement(outer, index - half)
+    block, i = divmod(index, group.cyclic_order)
+    return GroupElement(group.family.kinds[block], i)
 
 
 def element_order(group: GroupSpec, element: GroupElement) -> int:
-    """Order of the element, by closed form."""
-    _check_membership(group, element)
-    n = group.n
-    if element.kind in ("g", "r"):
-        return n // math.gcd(n, element.index)
-    if element.kind == "s":
-        return 2
-    if element.kind == "a":
-        return 2 * n // math.gcd(2 * n, element.index)
-    return 4  # every element outside the cyclic part of a dicyclic group
+    """Order of the element, by closed form; ValueError when the group has
+    no such element."""
+    family = group.family
+    if element.kind not in family.kinds:
+        raise ValueError(f"element {element} does not belong to a {family.value} group")
+    m = group.cyclic_order
+    if element.index >= m:
+        raise ValueError(f"element {element} out of range for {group}")
+    if element.kind == family.coset_kind:
+        return family.coset_order
+    return m // math.gcd(m, element.index)
 
 
 def element_orders(group: GroupSpec) -> list[int]:
     """Orders of all elements, aligned with the canonical listing.
 
     Same closed forms as element_order, evaluated over the index range: the
-    cyclic part of order m holds i -> m / gcd(m, i), and every element
-    outside it has order 2 (dihedral) or 4 (dicyclic).
+    cyclic part of order m holds i -> m / gcd(m, i), and every element of
+    the coset has the coset's order.
     """
-    m = 2 * group.n if group.family is Family.DICYCLIC else group.n
-    orders = [m // math.gcd(m, i) for i in range(m)]
-    if group.family is Family.DIHEDRAL:
-        orders += [2] * m
-    elif group.family is Family.DICYCLIC:
-        orders += [4] * m
-    return orders
+    m = group.cyclic_order
+    coset = [group.family.coset_order] * (group.order - m)
+    return [m // math.gcd(m, i) for i in range(m)] + coset
 
 
 def order_classes(group: GroupSpec) -> dict[int, list[int]]:

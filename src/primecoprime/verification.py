@@ -382,22 +382,20 @@ def run_decomp(
 def run_join_equality(
     family: Family, lo: int, hi: int, by_order: bool = False, limits: Limits = Limits()
 ) -> list[ClaimRecord]:
-    """Graph-level identities: D_n equals Z_n joined with a complete block of
-    reflections; odd Q_n equals Z_2n joined with an independent block."""
-    if family is Family.CYCLIC:
+    """Graph-level identities: the graph equals that of the cyclic part Z_m
+    joined with a block for the coset, complete for the reflections of D_n
+    (order 2, a prime) and independent for the coset of odd Q_n (order 4)."""
+    if family.coset_kind is None:
         raise ValueError("join equality claims exist for dihedral and dicyclic only")
+    block = complete if family.coset_order == 2 else empty_graph
     cap = limits.vertex_cap
 
     def check(group: GroupSpec) -> list[ClaimRecord]:
-        n = group.n
-        if family is Family.DICYCLIC and n % 2 == 0:
+        if family is Family.DICYCLIC and group.n % 2 == 0:
             return []  # the identity is stated for odd n only
         left = build_theta(group, cap)
-        if family is Family.DIHEDRAL:
-            right = join(build_theta(GroupSpec(Family.CYCLIC, n), cap), complete(n))
-        else:
-            right = join(build_theta(GroupSpec(Family.CYCLIC, 2 * n), cap), empty_graph(2 * n))
-        ok = left == right
+        m = group.cyclic_order
+        ok = left == join(build_theta(GroupSpec(Family.CYCLIC, m), cap), block(m))
         return [_record(f"{family.value}-join", group, True, ok, _verdict(ok))]
 
     return _sweep(check, family, lo, hi, by_order)

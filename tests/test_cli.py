@@ -115,13 +115,16 @@ def test_theta_stops_quietly_when_stdout_closes(fmt):
     assert (code, err) == (0, "")
 
 
-# sha256 of large exports, pinned when the export still went through one
-# json.dumps over per-edge lists; CI checks the p = 4001 pair under a memory limit
+# sha256 of large exports: the cyclic ones pinned when the export still went
+# through one json.dumps over per-edge lists; the D_1000 and Q_500 ones also
+# pin the coset labels s<i> and a<i>b, which the reference test reads back
+# from the graph itself; CI checks the p = 4001 pair under a memory limit
 _PIN_LINES = Path(__file__).with_name("export.sha256").read_text().splitlines()
 EXPORT_PINS = {name: digest for digest, name in map(str.split, _PIN_LINES)}
 
 
-@pytest.mark.parametrize("name", ["theta-cyclic-2003.json", "theta-cyclic-2003.dot"])
+@pytest.mark.parametrize("name", ["theta-cyclic-2003.json", "theta-cyclic-2003.dot",
+                                  "theta-dihedral-1000.json", "theta-dicyclic-500.dot"])
 def test_large_export_matches_its_pin(name, tmp_path, capsys):
     _, family, rest = name.split("-")
     n, fmt = rest.split(".")
@@ -278,6 +281,8 @@ def test_unknown_subcommand_exits_via_argparse():
 def test_query_clique(capsys):
     assert run(capsys, "query", "clique", "dihedral", "6") == (0, "11\n", "")
     assert run(capsys, "query", "clique", "dicyclic", "3") == (0, "6\n", "")
+    code, out, err = run(capsys, "query", "clique", "cyclic", "1")
+    assert (code, out) == (2, "") and "error:" in err  # the clique form starts at Z_2
 
 
 def test_query_degree(capsys):
@@ -291,6 +296,18 @@ def test_query_hamiltonian(capsys):
     assert run(capsys, "query", "hamiltonian", "cyclic", "9")[1] == "false\n"
     assert run(capsys, "query", "hamiltonian", "cyclic", "10")[1] == "true\n"
     assert run(capsys, "query", "hamiltonian", "dicyclic", "4")[1] == "false\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("clique", "cyclic", "12", "g1"),
+    ("hamiltonian", "dihedral", "5", "zz"),
+    ("decompose", "dicyclic", "3", "a1"),
+], ids=lambda argv: argv[0])
+def test_query_without_element_refuses_one(argv, capsys):
+    # only degree queries read an element; any other query would ignore it
+    code, out, err = run(capsys, "query", *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {argv[0]} queries take no element label\n"
 
 
 def test_query_decompose(capsys):

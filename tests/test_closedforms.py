@@ -10,8 +10,7 @@ from primecoprime.closedforms import (
     DecompositionEntry,
     catalog_partition,
     clique_cyclic,
-    clique_dicyclic,
-    clique_dihedral,
+    clique_number,
     decomposition_catalog,
     is_hamiltonian_cyclic,
     is_hamiltonian_dicyclic,
@@ -60,32 +59,30 @@ def test_clique_cyclic_frozen(n, expected):
 
 
 def test_clique_dihedral_frozen():
-    assert clique_dihedral(6) == 11
-    assert clique_dihedral(3) == 6
-    assert all(clique_dihedral(n) == n + clique_cyclic(n) for n in range(3, 40))
+    assert clique_number(dihedral(6)) == 11
+    assert clique_number(dihedral(3)) == 6
+    assert all(clique_number(dihedral(n)) == n + clique_cyclic(n) for n in range(3, 40))
 
 
 def test_clique_dicyclic_frozen():
-    assert clique_dicyclic(2) == 3
-    assert clique_dicyclic(3) == 6
-    assert clique_dicyclic(4) == 3
-    assert clique_dicyclic(5) == 8
+    assert clique_number(dicyclic(2)) == 3
+    assert clique_number(dicyclic(3)) == 6
+    assert clique_number(dicyclic(4)) == 3
+    assert clique_number(dicyclic(5)) == 8
 
 
 def test_clique_domain_errors():
     with pytest.raises(ValueError):
         clique_cyclic(1)
     with pytest.raises(ValueError):
-        clique_dihedral(2)
-    with pytest.raises(ValueError):
-        clique_dicyclic(1)
+        clique_number(cyclic(1))
 
 
 @pytest.mark.parametrize(
     "group,expected",
     [(cyclic(n), clique_cyclic(n)) for n in range(2, 61)]
-    + [(dihedral(n), clique_dihedral(n)) for n in range(3, 26)]
-    + [(dicyclic(n), clique_dicyclic(n)) for n in range(2, 16)],
+    + [(dihedral(n), clique_number(dihedral(n))) for n in range(3, 26)]
+    + [(dicyclic(n), clique_number(dicyclic(n))) for n in range(2, 16)],
     ids=str,
 )
 def test_clique_matches_search(group, expected):

@@ -61,6 +61,14 @@ def test_element_index_matches_listing():
                 element_at(group, bad)
 
 
+# label kinds of each family, cyclic part first, and the cyclic part's order
+_KINDS = {
+    Family.CYCLIC: (("g",), 1),
+    Family.DIHEDRAL: (("r", "s"), 1),
+    Family.DICYCLIC: (("a", "ab"), 2),
+}
+
+
 def test_membership_validation():
     with pytest.raises(ValueError):
         element_order(cyclic(5), GroupElement("r", 0))
@@ -68,6 +76,25 @@ def test_membership_validation():
         element_order(cyclic(5), GroupElement("g", 5))
     with pytest.raises(ValueError):
         element_order(dicyclic(3), GroupElement("a", 6))
+    # both texts reach the CLI user
+    with pytest.raises(ValueError, match="^element a1 does not belong to a dihedral group$"):
+        element_order(dihedral(5), GroupElement("a", 1))
+    with pytest.raises(ValueError, match=r"^element a6b out of range for dicyclic\(n=3\)$"):
+        element_order(dicyclic(3), GroupElement("ab", 6))
+    for family, (kinds, factor) in _KINDS.items():
+        for n in (family.min_n, 6, 7):
+            group = GroupSpec(family, n)
+            m = factor * n
+            for kind in kinds:
+                # the last index of each block is a member, one further is not
+                last = GroupElement(kind, m - 1)
+                assert element_order(group, last) == naive_element_order(group, last)
+                with pytest.raises(ValueError, match="out of range"):
+                    element_order(group, GroupElement(kind, m))
+            foreign = [k for other, (ks, _) in _KINDS.items() if other is not family for k in ks]
+            for kind in foreign:
+                with pytest.raises(ValueError, match="does not belong"):
+                    element_order(group, GroupElement(kind, 0))
 
 
 SMALL_GROUPS = (
@@ -89,6 +116,11 @@ def test_orders_match_multiplication(group):
 @pytest.mark.parametrize("group", SMALL_GROUPS, ids=str)
 def test_element_labels_match_listing(group):
     assert element_labels(group) == [e.text() for e in elements(group)]
+    # the listing is the cyclic part, then the coset, m elements each
+    kinds, factor = _KINDS[group.family]
+    layout = [GroupElement(kind, i) for kind in kinds for i in range(factor * group.n)]
+    assert [element_at(group, i) for i in range(group.order)] == layout
+    assert elements(group) == layout
 
 
 def test_every_label_parses_back_to_itself():
