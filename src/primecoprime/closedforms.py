@@ -16,8 +16,10 @@ every other part is an independent set of composite order classes (two
 elements of one composite order d share the composite gcd d).  An entry
 holds only the part sizes and the pattern edges.
 
-Each part is a union of order classes; catalog_partition places each class
-by its family kind's part table, _CD_PARTS or _DIC_PARTS.
+A shape is n's capped signature: its exponents capped at 2 in role order
+(exponent 1 first), and for Q_n whether 2 divides n.  One table per family
+kind, _CD_SHAPES or _DIC_SHAPES, maps it to the pattern, its edges and its
+part table, by which catalog_partition places each order class.
 """
 
 from __future__ import annotations
@@ -188,46 +190,37 @@ def is_hamiltonian(group: GroupSpec) -> bool:
 # decomposition catalog
 # ---------------------------------------------------------------------------
 
-# pattern graphs, part 0 = the clique part; edges (i, j), i < j, in
-# ascending order, say which parts see each other completely
-_CD_PATTERNS: dict[str, tuple[tuple[int, int], ...]] = {
-    "p": (),
-    "pq": ((0, 1),),
-    "p^m": ((0, 1),),
-    "pq^m": ((0, 1), (0, 2), (0, 3), (1, 2)),
-    "p^lq^m": ((0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6),
-               (1, 2), (1, 3), (1, 5), (2, 3), (2, 4)),
-    "pqr": ((0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (2, 3)),
+# A shape: pattern name, pattern edges (i, j), i < j, ascending, for the
+# parts that see each other completely (part 0 is the clique part), and the
+# part table: a composite order's part, keyed by its exponents capped at 2 at
+# the cyclic part's primes (n's in role order; for Q_n 2, then the odd
+# primes).  Orders 1 and prime are part 0; the 2n dicyclic elements outside
+# the cyclic part have order 4, key (2, 0, ...).
+_Shape = tuple[str, tuple[tuple[int, int], ...], dict[tuple[int, ...], int]]
+
+_CD_SHAPES: dict[tuple[int, ...], _Shape] = {
+    (1,): ("p", (), {}),
+    (1, 1): ("pq", ((0, 1),), {(1, 1): 1}),
+    (2,): ("p^m", ((0, 1),), {(2,): 1}),
+    (1, 2): ("pq^m", ((0, 1), (0, 2), (0, 3), (1, 2)), {(0, 2): 1, (1, 1): 2, (1, 2): 3}),
+    (2, 2): ("p^lq^m", ((0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6),
+                        (1, 2), (1, 3), (1, 5), (2, 3), (2, 4)),
+             {(2, 0): 1, (0, 2): 2, (1, 1): 3, (2, 1): 4, (1, 2): 5, (2, 2): 6}),
+    (1, 1, 1): ("pqr", ((0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (2, 3)),
+                {(1, 1, 0): 1, (0, 1, 1): 2, (1, 0, 1): 3, (1, 1, 1): 4}),
 }
 
-_DIC_PATTERNS: dict[str, tuple[tuple[int, int], ...]] = {
-    "p": ((0, 1), (0, 2), (1, 2)),
-    "2p": ((0, 1), (0, 2), (0, 3), (1, 3)),
-    "pq": ((0, 1), (0, 2), (0, 3), (0, 4), (0, 5),
-           (1, 2), (1, 3), (1, 5), (2, 3), (2, 5), (3, 5), (4, 5)),
-    "2^m": ((0, 1),),
-    "p^m": ((0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 4), (2, 4), (3, 4)),
-}
-
-# part tables: a composite order's part, keyed by its exponents at the
-# pattern's primes capped at 2 (dicyclic: at 2 first, then the odd primes);
-# orders 1 and prime are part 0.  The 2n dicyclic elements outside the cyclic
-# part all have order 4, key (2, 0, ...).
-_CD_PARTS: dict[str, dict[tuple[int, ...], int]] = {
-    "p": {},
-    "pq": {(1, 1): 1},
-    "p^m": {(2,): 1},
-    "pq^m": {(0, 2): 1, (1, 1): 2, (1, 2): 3},
-    "p^lq^m": {(2, 0): 1, (0, 2): 2, (1, 1): 3, (2, 1): 4, (1, 2): 5, (2, 2): 6},
-    "pqr": {(1, 1, 0): 1, (0, 1, 1): 2, (1, 0, 1): 3, (1, 1, 1): 4},
-}
-
-_DIC_PARTS: dict[str, dict[tuple[int, ...], int]] = {
-    "p": {(1, 1): 1, (2, 0): 2},
-    "2p": {(1, 1): 1, (2, 1): 2, (2, 0): 3},
-    "pq": {(1, 1, 0): 1, (1, 0, 1): 2, (0, 1, 1): 3, (1, 1, 1): 4, (2, 0, 0): 5},
-    "2^m": {(2,): 1},
-    "p^m": {(1, 1): 1, (0, 2): 2, (1, 2): 3, (2, 0): 4},
+_POWER_OF_TWO: _Shape = ("2^m", ((0, 1),), {(2,): 1})
+_DIC_SHAPES: dict[tuple[bool, tuple[int, ...]], _Shape] = {
+    (False, (1,)): ("p", ((0, 1), (0, 2), (1, 2)), {(1, 1): 1, (2, 0): 2}),
+    (True, (1, 1)): ("2p", ((0, 1), (0, 2), (0, 3), (1, 3)), {(1, 1): 1, (2, 1): 2, (2, 0): 3}),
+    (False, (1, 1)): ("pq", ((0, 1), (0, 2), (0, 3), (0, 4), (0, 5),
+                             (1, 2), (1, 3), (1, 5), (2, 3), (2, 5), (3, 5), (4, 5)),
+                      {(1, 1, 0): 1, (1, 0, 1): 2, (0, 1, 1): 3, (1, 1, 1): 4, (2, 0, 0): 5}),
+    (True, (1,)): _POWER_OF_TWO,
+    (True, (2,)): _POWER_OF_TWO,
+    (False, (2,)): ("p^m", ((0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 4), (2, 4), (3, 4)),
+                    {(1, 1): 1, (0, 2): 2, (1, 2): 3, (2, 0): 4}),
 }
 
 
@@ -327,78 +320,43 @@ def _dic_part_sizes(
     raise AssertionError(f"unknown pattern {pattern}")
 
 
-def _match_squarefree_or_power(f: Factorization) -> tuple[str, tuple, tuple] | None:
-    """Shape matching shared by cyclic and dihedral parameters."""
-    k = f.prime_count
-    if k == 1:
-        p = f.primes[0]
-        e = f.exponents[0]
-        return ("p", (p,), (1,)) if e == 1 else ("p^m", (p,), (e,))
-    if k == 2:
-        (p1, p2), (e1, e2) = f.primes, f.exponents
-        if e1 == 1 and e2 == 1:
-            return "pq", (p1, p2), (1, 1)
-        if e1 == 1 and e2 >= 2:
-            return "pq^m", (p1, p2), (1, e2)
-        if e2 == 1 and e1 >= 2:
-            return "pq^m", (p2, p1), (1, e1)
-        # both exponents >= 2; roles are symmetric, keep primes ascending
-        return "p^lq^m", (p1, p2), (e1, e2)
-    if k == 3 and all(e == 1 for e in f.exponents):
-        return "pqr", f.primes, (1, 1, 1)
-    return None
-
-
-def _match_dicyclic(n: int) -> tuple[str, tuple, tuple] | None:
-    f = factorize(n)
-    k = f.prime_count
-    if k == 1 and f.primes[0] == 2:
-        return "2^m", (2,), (f.exponents[0],)
-    if k == 1:
-        p = f.primes[0]
-        e = f.exponents[0]
-        return ("p", (p,), (1,)) if e == 1 else ("p^m", (p,), (e,))
-    if k == 2 and f.primes[0] == 2 and f.exponents[0] == 1 and f.exponents[1] == 1:
-        return "2p", (2, f.primes[1]), (1, 1)
-    if k == 2 and f.primes[0] != 2 and f.exponents == (1, 1):
-        return "pq", f.primes, (1, 1)
-    return None
+def _shape(family: Family, primes: tuple[int, ...], exponents: tuple[int, ...]) -> _Shape | None:
+    """The catalog shape of n's primes and exponents, in any order, or None;
+    role order lists the exponents 1 first, so their count fixes the key."""
+    ones = exponents.count(1)
+    capped = (1,) * ones + (2,) * (len(exponents) - ones)
+    if family.coset_order == 4:
+        return _DIC_SHAPES.get((2 in primes, capped))
+    return _CD_SHAPES.get(capped)
 
 
 def decomposition_catalog(family: Family, n: int) -> DecompositionEntry | None:
     """Catalog lookup; None means the parameter shape is not covered."""
-    GroupSpec(family, n)  # validate the family range
-    if family in (Family.CYCLIC, Family.DIHEDRAL):
-        if n == 1:
-            return None
-        match = _match_squarefree_or_power(factorize(n))
-        if match is None:
-            return None
-        pattern, primes, exponents = match
-        sizes = _cd_part_sizes(pattern, primes, exponents)
-        if family is Family.DIHEDRAL:
-            sizes[0] += n
-        edges = _CD_PATTERNS[pattern]
-    else:
-        match = _match_dicyclic(n)
-        if match is None:
-            return None
-        pattern, primes, exponents = match
+    group = GroupSpec(family, n)  # validate the family range
+    f = factorize(n)
+    shape = _shape(family, f.primes, f.exponents)
+    if shape is None:
+        return None
+    pattern, edges, _ = shape
+    # role order: exponent 1 before 2 or more, ascending within each group; 2,
+    # the least prime, leads its group, so it is first in every Q_n shape it divides
+    primes, exponents = zip(*sorted(zip(f.primes, f.exponents), key=lambda pe: pe[1] > 1))
+    if family.coset_order == 4:
         sizes = _dic_part_sizes(pattern, n, primes, exponents)
-        edges = _DIC_PATTERNS[pattern]
+    else:
+        sizes = _cd_part_sizes(pattern, primes, exponents)
+        sizes[0] += group.order - group.cyclic_order  # the n reflections of D_n
     return DecompositionEntry(family, n, pattern, primes, exponents, tuple(sizes), edges)
 
 
 def catalog_partition(entry: DecompositionEntry) -> tuple[tuple[int, ...], ...]:
     """Vertex partition of the group's prime coprime graph that realizes the
     entry's H-join, parts aligned with entry.sizes, each ascending.  Each
-    order class goes whole to the part its family's table names; whether the
-    parts come out at entry.sizes is left to the caller (run_decomp checks
+    order class goes whole to the part its shape's part table names; whether
+    the parts come out at entry.sizes is left to the caller (run_decomp checks
     it)."""
-    if entry.family is Family.DICYCLIC:
-        table, primes = _DIC_PARTS[entry.pattern], tuple(sorted({2, *entry.primes}))
-    else:
-        table, primes = _CD_PARTS[entry.pattern], entry.primes
+    _, _, table = _shape(entry.family, entry.primes, entry.exponents)
+    primes = tuple(sorted({2, *entry.primes})) if entry.family.coset_order == 4 else entry.primes
     buckets: list[list[int]] = [[] for _ in entry.sizes]
     for d, members in order_classes(GroupSpec(entry.family, entry.n)).items():
         part = 0 if _is_one_or_prime(d) else table[_capped_exponents(d, primes)]

@@ -42,19 +42,21 @@ __all__ = [
 
 class Family(Enum):
     """A group family and its layout.  The value is the name as the CLI
-    spells it, and min_n the least n the family is defined for.  The cyclic
-    part has order m = cyclic_factor * n; the coset (None in Z_n) holds m
-    elements of kind coset_kind and order coset_order.  kinds lists the
-    label kinds in listing order, and order_factor is |G| / n."""
+    spells it, letter the group's symbol (Z, D, Q), and min_n the least n
+    the family is defined for.  The cyclic part has order m = cyclic_factor
+    * n; the coset (None in Z_n) holds m elements of kind coset_kind and
+    order coset_order.  kinds lists the label kinds in listing order, and
+    order_factor is |G| / n."""
 
-    CYCLIC = ("cyclic", 1, 1, "g", None, None)
-    DIHEDRAL = ("dihedral", 3, 1, "r", "s", 2)
-    DICYCLIC = ("dicyclic", 2, 2, "a", "ab", 4)
+    CYCLIC = ("cyclic", "Z", 1, 1, "g", None, None)
+    DIHEDRAL = ("dihedral", "D", 3, 1, "r", "s", 2)
+    DICYCLIC = ("dicyclic", "Q", 2, 2, "a", "ab", 4)
 
-    def __new__(cls, value: str, min_n: int, cyclic_factor: int, cyclic_kind: str,
-                coset_kind: str | None, coset_order: int | None) -> Family:
+    def __new__(cls, value: str, letter: str, min_n: int, cyclic_factor: int,
+                cyclic_kind: str, coset_kind: str | None, coset_order: int | None) -> Family:
         member = object.__new__(cls)
         member._value_ = value
+        member.letter = letter
         member.min_n = min_n
         member.cyclic_factor = cyclic_factor
         member.coset_kind = coset_kind

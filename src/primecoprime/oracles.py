@@ -216,9 +216,10 @@ def dominating_vertices(graph: SimpleGraph) -> tuple[int, ...]:
     return tuple(v for v in range(n) if len(graph.adjacency[v]) == n - 1)
 
 
-def _root_cut_witness(graph: SimpleGraph) -> tuple[int, ...] | None:
-    """Look for a set S with more than |S| components after removal; checks
-    the dominating set and the neighborhoods of minimum-degree vertices."""
+def _root_cut_witness(graph: SimpleGraph) -> tuple[tuple[int, ...], int] | None:
+    """(S, components) for a set S whose removal leaves more than |S|
+    components, or None; tries the dominating set and the neighborhoods of
+    minimum-degree vertices."""
     n = graph.vertex_count
     candidates: list[tuple[int, ...]] = []
     seen: set[tuple[int, ...]] = set()
@@ -237,8 +238,8 @@ def _root_cut_witness(graph: SimpleGraph) -> tuple[int, ...] | None:
         if len(candidates) >= 17:
             break
     for cut in candidates:
-        if component_count(graph, cut) > len(cut):
-            return cut
+        if (pieces := component_count(graph, cut)) > len(cut):
+            return cut, pieces
     return None
 
 
@@ -283,9 +284,9 @@ def hamiltonian_search(
         )
     if component_count(graph) > 1:
         return HamiltonicityEvidence(Verdict.NON_HAMILTONIAN, note="disconnected")
-    cut = _root_cut_witness(graph)
-    if cut is not None:
-        pieces = component_count(graph, cut)
+    witness = _root_cut_witness(graph)
+    if witness is not None:
+        cut, pieces = witness
         return HamiltonicityEvidence(
             Verdict.NON_HAMILTONIAN,
             cut_set=cut,

@@ -4,8 +4,8 @@ oracle and yields one record per checked instance.
 A family sweep is one loop, _sweep, over the family's parameters in a range;
 it builds each group once and collects the records of the claim's per-group
 check, which returns none for a group the claim does not speak about.  Every
-run_* family sweep ends in the same by_order=False, limits=Limits(), so the
-CLAIMS table names them directly.
+one-family run_* sweep takes (family, lo, hi, by_order, limits), so CLAIMS
+names it directly; run_decomp, over a list of families, goes through _decomp.
 
 The degree, dominating-set and completeness oracles, and the dihedral
 Hamiltonicity bound, read vertex degrees off the order classes
@@ -66,7 +66,6 @@ __all__ = [
     "run_join_equality",
 ]
 
-_FAMILY_LETTER = {Family.CYCLIC: "Z", Family.DIHEDRAL: "D", Family.DICYCLIC: "Q"}
 # names of the claims that are not one per family; the records use them too
 _PHI_SUM = "phi-sum"
 _DOMINATING_SET = "dominating-set"
@@ -136,13 +135,12 @@ def summary_table(records: list[ClaimRecord]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _family_values(family: Family, lo: int, hi: int, by_order: bool) -> list[int]:
-    """Parameter values to sweep; by_order reads lo..hi as group order bounds."""
-    start = family.min_n
+def _family_values(family: Family, lo: int, hi: int, by_order: bool) -> range:
+    """Parameter values to sweep, as a lazy range; by_order reads lo..hi as group orders."""
     if not by_order:
-        return list(range(max(lo, start), hi + 1))
+        return range(max(lo, family.min_n), hi + 1)
     factor = family.order_factor
-    return [n for n in range(start, hi // factor + 1) if lo <= factor * n <= hi]
+    return range(max(family.min_n, -(-lo // factor)), hi // factor + 1)
 
 
 def _sweep(check: Callable[[GroupSpec], list[ClaimRecord]], family: Family,
@@ -373,7 +371,7 @@ def run_decomp(
                            f"pair={structure.vertex_pair}")
         else:
             ok, certificate = True, f"parts={entry.describe()},kl=({k},{l})"
-        claim = f"decomp-{_FAMILY_LETTER[group.family]}-{entry.pattern}"
+        claim = f"decomp-{group.family.letter}-{entry.pattern}"
         return [_record(claim, group, True, ok, _verdict(ok), certificate, entry.pattern)]
 
     return [r for family in families for r in _sweep(check, family, lo, hi, by_order)]

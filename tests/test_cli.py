@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 import primecoprime
 from primecoprime import cli, closedforms, pcgraph
 from primecoprime import verification as ver
+from primecoprime.groups import Family
 
 Z4_DOT = (
     "graph theta {\n"
@@ -216,6 +217,37 @@ def test_ham_dihedral_capacity_exit(capsys):
     code, out, err = run(capsys, "verify", "ham-dihedral", "3..3", "--vertex-cap", "5")
     assert (code, out) == (3, "")
     assert err == "error: dihedral(n=3) has 6 elements, above the cap of 5\n"
+
+
+_HUGE = "99999999999999999999999"
+
+
+@pytest.mark.parametrize(
+    "span,claim",
+    [(f"1..{_HUGE}", "degree-cyclic"), (f"1..{_HUGE}-by-group-order", "decomp-all")],
+    ids=["degree-cyclic", "decomp-all-by-group-order"],
+)
+def test_huge_range_stops_at_the_cap(span, claim, capsys):
+    # a sweep walks its range lazily, so a span far past the cap neither
+    # overflows nor stalls: the first group above the cap ends it
+    code, out, err = run(capsys, "verify", claim, span, "--vertex-cap", "1")
+    assert (code, out) == (3, "")
+    assert err == "error: cyclic(n=2) has 2 elements, above the cap of 1\n"
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+def test_family_values_match_the_listed_definition(family):
+    # the range a sweep walks holds exactly the n in range whose parameter
+    # (or group order, by_order) lies in lo..hi
+    for lo in range(70):
+        for hi in range(lo, 70):
+            assert list(ver._family_values(family, lo, hi, False)) == [
+                n for n in range(family.min_n, hi + 1) if lo <= n
+            ], (lo, hi)
+            assert list(ver._family_values(family, lo, hi, True)) == [
+                n for n in range(family.min_n, hi + 1) if lo <= family.order_factor * n <= hi
+            ], (lo, hi)
 
 
 def _refuse_expansion(*args, **kwargs):

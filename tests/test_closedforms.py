@@ -361,6 +361,27 @@ def test_catalog_partitions_are_pinned():
     assert digest.hexdigest() == PARTITIONS_SHA256
 
 
+# sha256 over one line per group of order <= 20000, family by family in
+# Family order, n ascending: the entry's fields for a covered group, "-" for
+# an uncovered one; as the per-shape matchers gave them before the capped
+# signature tables replaced them (22994 covered groups)
+ENTRIES_SHA256 = "6f203d281f9d4852bd91d23c95657c8f7ea2c4740f6aa1b3bc39dc76f8d25328"
+
+
+def test_catalog_entries_are_pinned():
+    digest = hashlib.sha256()
+    for family in Family:
+        for n in range(family.min_n, 20000 // family.order_factor + 1):
+            e = decomposition_catalog(family, n)
+            if e is None:
+                line = f"{family.value} {n} -\n"
+            else:
+                line = (f"{family.value} {n} {e.pattern} {e.primes} {e.exponents} "
+                        f"{e.sizes} {e.pattern_edges}\n")
+            digest.update(line.encode())
+    assert digest.hexdigest() == ENTRIES_SHA256
+
+
 @pytest.mark.parametrize(
     "family,n",
     [
