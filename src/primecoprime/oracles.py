@@ -10,6 +10,9 @@ backtracking search whose pruning rules are all sound, so exhaustion proves
 non-Hamiltonicity and every verdict carries checkable evidence (a cycle or
 a disconnecting cut).  Nothing here is randomized; identical inputs always
 produce identical outputs.
+
+The oracles read the graph's neighbour masks, SimpleGraph.rows: the
+searches use them as bitsets, and a degree is a row's bit count.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .pcgraph import SimpleGraph, component_count, validate_partition
+from .pcgraph import SimpleGraph, _bits, _mask, _spread, component_count, validate_partition
 
 __all__ = [
     "DEFAULT_CLIQUE_BUDGET",
@@ -40,16 +43,6 @@ DEFAULT_HAM_BUDGET = 2_000_000
 
 class BudgetExceededError(Exception):
     """Raised when the clique search exceeds its node budget."""
-
-
-def _bitmasks(graph: SimpleGraph) -> list[int]:
-    masks = []
-    for nbrs in graph.adjacency:
-        m = 0
-        for u in nbrs:
-            m |= 1 << u
-        masks.append(m)
-    return masks
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +151,7 @@ def max_clique(
     n = graph.vertex_count
     if n < 1:
         raise ValueError("clique search needs at least one vertex")
-    adj = _bitmasks(graph)
+    adj = graph.rows
     budget = _Budget(node_budget)
     full = (1 << n) - 1
     best = _max_size(adj, full, budget)
@@ -213,7 +206,7 @@ class HamiltonicityEvidence:
 def dominating_vertices(graph: SimpleGraph) -> tuple[int, ...]:
     """Vertices adjacent to every other vertex, ascending."""
     n = graph.vertex_count
-    return tuple(v for v in range(n) if len(graph.adjacency[v]) == n - 1)
+    return tuple(v for v, row in enumerate(graph.rows) if row.bit_count() == n - 1)
 
 
 def _root_cut_witness(graph: SimpleGraph) -> tuple[tuple[int, ...], int] | None:
@@ -222,42 +215,24 @@ def _root_cut_witness(graph: SimpleGraph) -> tuple[tuple[int, ...], int] | None:
     minimum-degree vertices."""
     n = graph.vertex_count
     candidates: list[tuple[int, ...]] = []
-    seen: set[tuple[int, ...]] = set()
+    seen: set[int] = set()  # the candidates' masks
     dom = dominating_vertices(graph)
     if 0 < len(dom) < n:
         candidates.append(dom)
-        seen.add(dom)
+        seen.add(_mask(dom, n))
     dmin = graph.min_degree()
-    for v in range(n):
-        if len(graph.adjacency[v]) != dmin:
+    for row in graph.rows:
+        if row.bit_count() != dmin:
             continue
-        nb = graph.adjacency[v]
-        if 0 < len(nb) < n and nb not in seen:
-            seen.add(nb)
-            candidates.append(nb)
+        if 0 < dmin < n and row not in seen:
+            seen.add(row)
+            candidates.append(tuple(_bits(row)))
         if len(candidates) >= 17:
             break
     for cut in candidates:
         if (pieces := component_count(graph, cut)) > len(cut):
             return cut, pieces
     return None
-
-
-def _spread(adj: list[int], seed: int, region: int) -> int:
-    """Vertices of region reachable from seed inside region (mask BFS)."""
-    reach = seed & region
-    frontier = reach
-    while frontier:
-        grown = 0
-        f = frontier
-        while f:
-            bit = f & -f
-            grown |= adj[bit.bit_length() - 1]
-            f ^= bit
-        grown &= region & ~reach
-        reach |= grown
-        frontier = grown
-    return reach
 
 
 def hamiltonian_search(
@@ -293,9 +268,9 @@ def hamiltonian_search(
             note=f"removing {len(cut)} vertices leaves {pieces} components",
         )
 
-    adj = _bitmasks(graph)
+    adj = graph.rows
     full = (1 << n) - 1
-    start = min(range(n), key=lambda v: (len(graph.adjacency[v]), v))
+    start = min(range(n), key=lambda v: (adj[v].bit_count(), v))
     start_bit = 1 << start
 
     def feasible(endpoint: int, visited: int) -> bool:
@@ -392,15 +367,10 @@ def kl_partition_check(graph: SimpleGraph, partition, k: int, l: int) -> bool:
     parts = validate_partition(partition, graph.vertex_count)
     if len(parts) != k + l:
         raise ValueError(f"expected {k + l} parts, got {len(parts)}")
-    nbrs = graph.neighbor_sets()
-    for part in parts[:l]:
-        members = frozenset(part)
-        for u in part:
-            if members - nbrs[u] - {u}:
-                return False
-    for part in parts[l:]:
-        members = frozenset(part)
-        for u in part:
-            if nbrs[u] & members:
-                return False
+    rows = graph.rows
+    for i, part in enumerate(parts):
+        members = _mask(part, graph.vertex_count)
+        # in a clique part u sees every member, in an independent part none
+        if any((rows[u] | 1 << u) & members != (members if i < l else 1 << u) for u in part):
+            return False
     return True

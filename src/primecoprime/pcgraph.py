@@ -1,17 +1,18 @@
 """Simple undirected graphs and the prime coprime graph construction.
 
-A SimpleGraph stores sorted neighbor tuples per vertex.  Adjacency in the
-prime coprime graph depends only on element orders, so build_theta walks the
-order classes (groups.order_classes), assembles one neighbor tuple per class
-and shares it across its members; only classes adjacent to themselves
-(order 1 or prime) need a per-vertex copy with the vertex itself removed.
-class_degrees reads the degrees off the same classes without building any
-row: the degree, dominating-set and completeness claims and the dihedral
+A SimpleGraph is a list of twin classes, each with its members, one sorted
+base row and that row's int mask; a vertex's neighbour mask is its class's.
+Adjacency in the prime coprime graph depends only on element orders, so
+build_theta makes each order class (groups.order_classes) one twin class,
+its mask the OR of the gcd-adjacent classes' member masks.  class_degrees
+reads the degrees off the order classes without building any row: the
+degree, dominating-set and completeness claims and the dihedral
 Hamiltonicity (Dirac) bound need nothing more.
 
-dot_chunks and json_chunks yield the export one vertex row at a time, so a
-caller that writes the pieces as they come never holds the whole text;
-graph_to_dot and graph_to_json join the pieces into one string.
+dot_chunks and json_chunks yield the export one vertex row at a time, each
+row the upper tail of its class's base, so a caller that writes the pieces
+as they come never holds the whole text; graph_to_dot and graph_to_json
+join the pieces into one string.
 
 verify_hjoin_structure checks the layout the graph forces: part 0 a clique
 (the identity and the prime-order elements), every other part an independent
@@ -24,8 +25,8 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_left, bisect_right
-from collections.abc import Iterator
+from bisect import bisect_right
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import chain, combinations
 
@@ -60,73 +61,91 @@ class CapacityError(Exception):
 
 
 class SimpleGraph:
-    """Undirected simple graph on vertices 0..vertex_count-1.
-
-    adjacency[v] is a sorted tuple of neighbors.  Instances are treated as
-    immutable; constructors in this module produce canonical data.  Equality
-    compares structure (vertex count and adjacency), not labels.
+    """Undirected simple graph on vertices 0..vertex_count-1, held as twin
+    classes: one (members, base, mask) triple per class.  The ascending
+    members of all classes partition the vertices; base is the sorted list
+    of the vertices adjacent to the members, the members included when the
+    class is self-adjacent (a clique); mask has the bits of base set.
+    rows[v] is v's neighbour mask: its class's mask, less v's own bit in a
+    self-adjacent class.  Instances are treated as immutable; constructors
+    in this module produce canonical data.  Equality compares structure
+    (vertex count and rows), not classes or labels.
     """
 
-    __slots__ = ("vertex_count", "adjacency", "labels")
+    __slots__ = ("vertex_count", "classes", "rows", "labels")
 
-    def __init__(
-        self,
-        adjacency: tuple[tuple[int, ...], ...],
-        labels: tuple[str, ...] | None = None,
-    ) -> None:
-        self.vertex_count = len(adjacency)
-        self.adjacency = adjacency
-        if labels is not None and len(labels) != len(adjacency):
+    def __init__(self, classes: Iterable[tuple[Sequence[int], Sequence[int], int]],
+                 labels: tuple[str, ...] | None = None) -> None:
+        self.classes = tuple(classes)
+        self.vertex_count = sum(len(members) for members, _, _ in self.classes)
+        rows = [0] * self.vertex_count
+        for members, _, mask in self.classes:
+            clique = members and mask >> members[0] & 1
+            for v in members:
+                rows[v] = mask ^ (1 << v) if clique else mask
+        self.rows = rows
+        if labels is not None and len(labels) != self.vertex_count:
             raise ValueError("labels must align with the vertex list")
         self.labels = labels
 
     def min_degree(self) -> int:
         if self.vertex_count == 0:
             raise ValueError("minimum degree of an empty graph is undefined")
-        return min(len(nbrs) for nbrs in self.adjacency)
+        return min(row.bit_count() for row in self.rows)
 
     def edge_count(self) -> int:
-        return sum(len(nbrs) for nbrs in self.adjacency) // 2
+        return sum(row.bit_count() for row in self.rows) // 2
 
     def neighbor_sets(self) -> tuple[frozenset[int], ...]:
-        return tuple(frozenset(nbrs) for nbrs in self.adjacency)
+        return tuple(frozenset(_bits(row)) for row in self.rows)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SimpleGraph):
             return NotImplemented
-        return (
-            self.vertex_count == other.vertex_count
-            and self.adjacency == other.adjacency
-        )
+        return self.vertex_count == other.vertex_count and self.rows == other.rows
 
     def __repr__(self) -> str:
         return f"SimpleGraph(vertices={self.vertex_count}, edges={self.edge_count()})"
 
 
+def _mask(vertices, n: int) -> int:
+    """Mask with bit v set for each v in vertices, all below n."""
+    bits = bytearray((n + 7) >> 3)
+    for v in vertices:
+        bits[v >> 3] |= 1 << (v & 7)
+    return int.from_bytes(bits, "little")
+
+
+def _bits(mask: int) -> list[int]:
+    """The vertices whose bits are set in mask, ascending."""
+    return [v for v, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
+
+
 def empty_graph(m: int) -> SimpleGraph:
-    """Edgeless graph on m vertices."""
+    """Edgeless graph on m vertices: one class that is not self-adjacent."""
     if m < 0:
         raise ValueError("vertex count must be >= 0")
-    return SimpleGraph(((),) * m)
+    return SimpleGraph([(range(m), (), 0)])
 
 
 def complete(m: int) -> SimpleGraph:
-    """Complete graph on m vertices."""
+    """Complete graph on m vertices: one self-adjacent class."""
     if m < 0:
         raise ValueError("vertex count must be >= 0")
-    base = tuple(range(m))
-    return SimpleGraph(tuple(base[:v] + base[v + 1 :] for v in range(m)))
+    return SimpleGraph([(range(m), range(m), (1 << m) - 1)])
 
 
 def join(a: SimpleGraph, b: SimpleGraph) -> SimpleGraph:
-    """Join of two graphs: disjoint union plus all cross edges."""
+    """Join of two graphs: disjoint union plus all cross edges.  Each class
+    of a gains b's vertices, shifted past a's, and each class of b gains
+    a's vertices."""
     na, nb = a.vertex_count, b.vertex_count
-    cross_b = tuple(range(na, na + nb))
-    cross_a = tuple(range(na))
-    adjacency = tuple(row + cross_b for row in a.adjacency) + tuple(
-        cross_a + tuple(v + na for v in row) for row in b.adjacency
-    )
-    return SimpleGraph(adjacency)
+    cross_b, cross_a = list(range(na, na + nb)), list(range(na))
+    all_b, all_a = ((1 << nb) - 1) << na, (1 << na) - 1
+    return SimpleGraph(
+        [(members, [*base, *cross_b], mask | all_b) for members, base, mask in a.classes]
+        + [([v + na for v in members], cross_a + [v + na for v in base], mask << na | all_a)
+           for members, base, mask in b.classes])
 
 
 def _adjacent_orders(d1: int, d2: int) -> bool:
@@ -162,45 +181,50 @@ def class_degrees(
 
 def build_theta(group: GroupSpec, vertex_cap: int = DEFAULT_VERTEX_CAP) -> SimpleGraph:
     """Prime coprime graph of the group: vertices are the elements in
-    canonical order, an edge joins u != v iff gcd(|u|, |v|) is 1 or prime."""
+    canonical order, an edge joins u != v iff gcd(|u|, |v|) is 1 or prime.
+    Each order class is one twin class; its mask is the OR of the member
+    masks of the gcd-adjacent classes, and its base their merged members."""
     check_vertex_cap(group, vertex_cap)
     classes = order_classes(group)
-    adjacency: list[tuple[int, ...]] = [()] * group.order
+    masks = {d: _mask(members, group.order) for d, members in classes.items()}
+    twins = []
     for d, members in classes.items():
-        linked = (m for d2, m in classes.items() if _adjacent_orders(d, d2))
-        base = tuple(sorted(chain.from_iterable(linked)))
-        if _adjacent_orders(d, d):
-            # class adjacent to itself: drop each vertex from its own row
-            for v in members:
-                at = bisect_left(base, v)
-                adjacency[v] = base[:at] + base[at + 1 :]
-        else:
-            for v in members:
-                adjacency[v] = base
-    return SimpleGraph(tuple(adjacency), tuple(element_labels(group)))
+        linked = [d2 for d2 in classes if _adjacent_orders(d, d2)]
+        base = sorted(chain.from_iterable(classes[d2] for d2 in linked))
+        twins.append((members, base, sum(masks[d2] for d2 in linked)))  # disjoint: sum is OR
+    return SimpleGraph(twins, tuple(element_labels(group)))
+
+
+def _spread(rows: list[int], seed: int, region: int) -> int:
+    """Vertices of region reachable from seed inside region (mask BFS)."""
+    reach = seed & region
+    frontier = reach
+    while frontier:
+        grown = 0
+        f = frontier
+        while f:
+            bit = f & -f
+            grown |= rows[bit.bit_length() - 1]
+            f ^= bit
+        grown &= region & ~reach
+        reach |= grown
+        frontier = grown
+    return reach
 
 
 def component_count(graph: SimpleGraph, removed=()) -> int:
     """Number of connected components once the removed vertices (and their
     edges) are deleted; 0 when every vertex is removed."""
-    seen = bytearray(graph.vertex_count)
+    n = graph.vertex_count
+    removed = list(removed)
     for v in removed:
-        if not 0 <= v < graph.vertex_count:
+        if not 0 <= v < n:
             raise ValueError(f"vertex {v} out of range")
-        seen[v] = 1
+    left = ((1 << n) - 1) & ~_mask(removed, n)
     count = 0
-    for root in range(graph.vertex_count):
-        if seen[root]:
-            continue
+    while left:
+        left &= ~_spread(graph.rows, left & -left, left)
         count += 1
-        seen[root] = 1
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            for u in graph.adjacency[v]:
-                if not seen[u]:
-                    seen[u] = 1
-                    stack.append(u)
     return count
 
 
@@ -286,11 +310,16 @@ def _vertex_names(graph: SimpleGraph) -> tuple[str, ...]:
     return tuple(f"v{i}" for i in range(graph.vertex_count))
 
 
-def _upper_rows(graph: SimpleGraph) -> Iterator[tuple[int, tuple[int, ...]]]:
+def _upper_rows(graph: SimpleGraph) -> Iterator[tuple[int, Sequence[int]]]:
     """(u, the neighbours of u above u) for each vertex u that has one, in
-    vertex order: every edge once, as its lower end's row."""
-    for u, row in enumerate(graph.adjacency):
-        tail = row[bisect_right(row, u):]
+    vertex order: every edge once, as its lower end's row.  It is cut from
+    u's class base, which holds u only when the class is self-adjacent."""
+    base_of: list[Sequence[int]] = [()] * graph.vertex_count
+    for members, base, _ in graph.classes:
+        for v in members:
+            base_of[v] = base
+    for u, base in enumerate(base_of):
+        tail = base[bisect_right(base, u):]
         if tail:
             yield u, tail
 

@@ -11,8 +11,8 @@ The degree, dominating-set and completeness oracles, and the dihedral
 Hamiltonicity bound, read vertex degrees off the order classes
 (pcgraph.class_degrees), and decomp-* checks its H-join between classes, so
 none of them builds the graph.  The clique, cyclic and dicyclic
-Hamiltonicity, ham-cut and join-identity oracles run on the graph that
-build_theta expands.
+Hamiltonicity, ham-cut and join-identity oracles run on the neighbour masks
+that build_theta ORs together from the classes; no edge list is built.
 
 Records are sorted and serialized in a fixed order with no timestamps or
 randomness, so repeated runs of the same sweep produce byte-identical
@@ -380,9 +380,10 @@ def run_decomp(
 def run_join_equality(
     family: Family, lo: int, hi: int, by_order: bool = False, limits: Limits = Limits()
 ) -> list[ClaimRecord]:
-    """Graph-level identities: the graph equals that of the cyclic part Z_m
-    joined with a block for the coset, complete for the reflections of D_n
-    (order 2, a prime) and independent for the coset of odd Q_n (order 4)."""
+    """Graph-level identities: the graph's neighbour masks equal those of
+    the cyclic part Z_m joined with a block for the coset, complete for the
+    reflections of D_n (order 2, a prime) and independent for the coset of
+    odd Q_n (order 4)."""
     if family.coset_kind is None:
         raise ValueError("join equality claims exist for dihedral and dicyclic only")
     block = complete if family.coset_order == 2 else empty_graph

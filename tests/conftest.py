@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import deque
 from itertools import combinations, permutations
 
 from primecoprime.groups import Family, GroupSpec, elements
@@ -65,7 +66,8 @@ def naive_element_order(group: GroupSpec, element) -> int:
 
 
 def from_edges(m: int, edges) -> SimpleGraph:
-    """Graph on m vertices with the given edges (validated, deduplicated)."""
+    """Graph on m vertices with the given edges (validated, deduplicated),
+    one twin class per vertex: its base is the vertex's sorted neighbours."""
     if m < 0:
         raise ValueError("vertex count must be >= 0")
     nbrs: list[set[int]] = [set() for _ in range(m)]
@@ -76,11 +78,44 @@ def from_edges(m: int, edges) -> SimpleGraph:
             raise ValueError(f"self-loop at vertex {u}")
         nbrs[u].add(v)
         nbrs[v].add(u)
-    return SimpleGraph(tuple(tuple(sorted(s)) for s in nbrs))
+    return SimpleGraph(((v,), sorted(s), sum(1 << u for u in s)) for v, s in enumerate(nbrs))
 
 
 def has_edge(graph: SimpleGraph, u: int, v: int) -> bool:
-    return v in graph.adjacency[u]
+    """Bit v of u's neighbour mask: what the reference exporters and the
+    brute forcers read, so they never touch the class bases."""
+    return (graph.rows[u] >> v) & 1 == 1
+
+
+def edge_list(graph: SimpleGraph) -> list[tuple[int, int]]:
+    """Every edge (u, v) with u < v, in lexicographic order."""
+    n = graph.vertex_count
+    return [(u, v) for u in range(n) for v in range(u + 1, n) if has_edge(graph, u, v)]
+
+
+def bfs_component_count(graph: SimpleGraph, removed=()) -> int:
+    """Components left once the removed vertices go, by breadth-first search
+    over the edge list."""
+    gone = set(removed)
+    nbrs: dict[int, list[int]] = {v: [] for v in range(graph.vertex_count) if v not in gone}
+    for u, v in edge_list(graph):
+        if u in nbrs and v in nbrs:
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+    seen: set[int] = set()
+    count = 0
+    for root in nbrs:
+        if root in seen:
+            continue
+        count += 1
+        seen.add(root)
+        queue = deque([root])
+        while queue:
+            for u in nbrs[queue.popleft()]:
+                if u not in seen:
+                    seen.add(u)
+                    queue.append(u)
+    return count
 
 
 def cycle_graph(m: int) -> SimpleGraph:
@@ -136,10 +171,8 @@ def reference_graph_to_dot(graph: SimpleGraph) -> str:
     lines = ["graph theta {"]
     for name in names:
         lines.append(f'  "{name}";')
-    for u in range(graph.vertex_count):
-        for v in graph.adjacency[u]:
-            if v > u:
-                lines.append(f'  "{names[u]}" -- "{names[v]}";')
+    for u, v in edge_list(graph):
+        lines.append(f'  "{names[u]}" -- "{names[v]}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -147,7 +180,7 @@ def reference_graph_to_dot(graph: SimpleGraph) -> str:
 def reference_graph_to_json(graph: SimpleGraph, family: str, parameter: int) -> str:
     """JSON export as one json.dumps over a [u, v] list per edge: the
     reference the row-joined graph_to_json must match byte for byte."""
-    edges = [[u, v] for u in range(graph.vertex_count) for v in graph.adjacency[u] if v > u]
+    edges = [[u, v] for u, v in edge_list(graph)]
     payload = {
         "family": family,
         "parameter": parameter,

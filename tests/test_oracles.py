@@ -31,6 +31,7 @@ from conftest import (
     brute_max_clique,
     cycle_graph,
     from_edges,
+    has_edge,
 )
 
 
@@ -120,7 +121,7 @@ def _greedy_clique(graph):
     while cand:
         v = min(cand)
         clique.append(v)
-        cand &= set(graph.adjacency[v])
+        cand = {u for u in cand if has_edge(graph, v, u)}
     return clique
 
 

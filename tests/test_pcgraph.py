@@ -1,9 +1,10 @@
 """Graph layer: constructors, H-joins, theta construction, exports."""
 
 import json
+from itertools import combinations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from primecoprime import verification as ver
 from primecoprime.groups import Family, GroupSpec, cyclic, dicyclic, dihedral, s_indices
@@ -26,7 +27,9 @@ from primecoprime.pcgraph import (
     verify_hjoin_structure,
 )
 from conftest import (
+    bfs_component_count,
     cycle_graph,
+    edge_list,
     from_edges,
     h_join,
     has_edge,
@@ -67,7 +70,7 @@ def test_join_edge_count(na, nb):
     a, b = cycle_graph(na) if na >= 3 else empty_graph(na), complete(nb)
     g = join(a, b)
     assert g.edge_count() == a.edge_count() + b.edge_count() + na * nb
-    assert sum(len(row) for row in g.adjacency) == 2 * g.edge_count()
+    assert len(edge_list(g)) == g.edge_count()
 
 
 def test_h_join_matches_plain_join():
@@ -171,7 +174,7 @@ def test_theta_degrees_of_dominating_elements():
     for group in (cyclic(20), dihedral(9), dicyclic(6)):
         g = build_theta(group)
         for v in s_indices(group):
-            assert len(g.adjacency[v]) == group.order - 1
+            assert g.rows[v].bit_count() == group.order - 1
 
 
 # class_degrees is the cheaper oracle of the degree, dominating-set and
@@ -194,7 +197,7 @@ def _class_degree_list(group):
 def test_class_degrees_match_expanded_graph():
     for group in CLASS_DEGREE_GROUPS:
         theta = build_theta(group)
-        assert _class_degree_list(group) == [len(row) for row in theta.adjacency], group
+        assert _class_degree_list(group) == [row.bit_count() for row in theta.rows], group
 
 
 def test_class_degrees_match_naive_graph():
@@ -202,7 +205,7 @@ def test_class_degrees_match_naive_graph():
         for n in range(family.min_n, 200 // family.order_factor + 1):
             group = GroupSpec(family, n)
             naive = naive_theta(group)
-            expected = [len(row) for row in naive.adjacency]
+            expected = [row.bit_count() for row in naive.rows]
             assert _class_degree_list(group) == expected, group
 
 
@@ -304,7 +307,7 @@ def labelled_graphs(draw):
     edges = [(u, v) for u, v in draw(st.lists(pairs, max_size=40)) if u != v]
     graph = from_edges(m, edges)
     labels = draw(st.none() | st.lists(st.text(max_size=4), min_size=m, max_size=m))
-    return graph if labels is None else SimpleGraph(graph.adjacency, tuple(labels))
+    return graph if labels is None else SimpleGraph(graph.classes, tuple(labels))
 
 
 @given(labelled_graphs(), st.text(max_size=6), st.integers(-5, 10**6))
@@ -313,9 +316,50 @@ def test_exports_match_reference_on_random_graphs(graph, family, parameter):
     assert_exports_match_reference(graph, family, parameter)
 
 
+# class-built graphs with their edges listed independently: complete and
+# empty blocks, one-class-per-vertex graphs, theta (edges from naive_theta),
+# and joins of these, which merge and shift the class bases
+_blocks = st.one_of(
+    st.integers(0, 6).map(lambda m: (complete(m), m, list(combinations(range(m), 2)))),
+    st.integers(0, 6).map(lambda m: (empty_graph(m), m, [])),
+    labelled_graphs().map(lambda g: (g, g.vertex_count, edge_list(g))),
+    st.sampled_from([cyclic(n) for n in range(1, 25)] + [dihedral(n) for n in range(3, 7)]
+                    + [dicyclic(n) for n in range(2, 6)]).map(
+        lambda group: (build_theta(group), group.order, edge_list(naive_theta(group)))),
+)
+
+
+def _joined(pair):
+    (a, na, ea), (b, nb, eb) = pair
+    cross = [(u, na + v) for u in range(na) for v in range(nb)]
+    return join(a, b), na + nb, ea + [(u + na, v + na) for u, v in eb] + cross
+
+
+class_built_graphs = st.recursive(
+    _blocks, lambda inner: st.tuples(inner, inner).map(_joined), max_leaves=4
+)
+
+
+@settings(max_examples=150)
+@given(class_built_graphs)
+def test_class_built_graphs_match_their_edge_expansions(built):
+    graph, m, edges = built
+    assert graph == from_edges(m, edges)
+    assert_exports_match_reference(graph)
+
+
+@settings(max_examples=150)
+@given(class_built_graphs, st.data())
+def test_component_count_matches_edge_list_bfs(built, data):
+    graph = built[0]
+    vertices = st.integers(0, graph.vertex_count - 1) if graph.vertex_count else st.nothing()
+    removed = data.draw(st.sets(vertices, max_size=graph.vertex_count))
+    assert component_count(graph, removed) == bfs_component_count(graph, removed)
+
+
 def test_graph_equality_ignores_labels():
     assert build_theta(cyclic(3)) == complete(3)
-    assert SimpleGraph(((1,), (0,))) != SimpleGraph(((), ()))
+    assert from_edges(2, [(0, 1)]) != empty_graph(2)
 
 
 def test_hjoin_check_is_truthy():
