@@ -11,8 +11,8 @@ non-Hamiltonicity and every verdict carries checkable evidence (a cycle or
 a disconnecting cut).  Nothing here is randomized; identical inputs always
 produce identical outputs.
 
-The oracles read the graph's neighbour masks, SimpleGraph.rows: the
-searches use them as bitsets, and a degree is a row's bit count.
+max_clique reads SimpleGraph.rows as bitsets; hamiltonian_search also reads
+class_table, so its checks and candidate lists take one step per twin class.
 """
 
 from __future__ import annotations
@@ -206,7 +206,7 @@ class HamiltonicityEvidence:
 def dominating_vertices(graph: SimpleGraph) -> tuple[int, ...]:
     """Vertices adjacent to every other vertex, ascending."""
     n = graph.vertex_count
-    return tuple(v for v, row in enumerate(graph.rows) if row.bit_count() == n - 1)
+    return tuple(sorted(v for members, d in graph.twin_degrees() if d == n - 1 for v in members))
 
 
 def _root_cut_witness(graph: SimpleGraph) -> tuple[tuple[int, ...], int] | None:
@@ -269,8 +269,9 @@ def hamiltonian_search(
         )
 
     adj = graph.rows
+    class_of, table = graph.class_table()
     full = (1 << n) - 1
-    start = min(range(n), key=lambda v: (adj[v].bit_count(), v))
+    start = min((degree, members[0]) for members, degree in graph.twin_degrees())[1]
     start_bit = 1 << start
 
     def feasible(endpoint: int, visited: int) -> bool:
@@ -281,27 +282,26 @@ def hamiltonian_search(
             return False  # nothing left that could close the cycle
         allowed = unvisited | (1 << endpoint) | start_bit
         u = unvisited
-        while u:
-            bit = u & -u
-            if (adj[bit.bit_length() - 1] & allowed).bit_count() < 2:
+        while u:  # twins have the same usable connections: one check per class
+            members, mask, self_loop = table[class_of[(u & -u).bit_length() - 1]]
+            if (mask & allowed).bit_count() - self_loop < 2:
                 return False
-            u ^= bit
+            u &= ~members
         region = unvisited | (1 << endpoint)
-        return _spread(adj, 1 << endpoint, region) & unvisited == unvisited
+        return _spread(graph, 1 << endpoint, region) & unvisited == unvisited
 
     def ordered(endpoint: int, visited: int) -> list[int]:
-        # descending (degree, vertex) so that list.pop() explores ascending
+        # one mask of candidates per remaining degree, in descending degree
+        # order: the lowest bit of the last mask is the next to explore
         unvisited = full & ~visited
-        cand = adj[endpoint] & unvisited
-        ranked = []
-        c = cand
+        cand = c = adj[endpoint] & unvisited
+        by_degree: dict[int, int] = {}
         while c:
-            bit = c & -c
-            v = bit.bit_length() - 1
-            ranked.append(((adj[v] & unvisited).bit_count(), v))
-            c ^= bit
-        ranked.sort(reverse=True)
-        return [v for _, v in ranked]
+            members, mask, self_loop = table[class_of[(c & -c).bit_length() - 1]]
+            degree = (mask & unvisited).bit_count() - self_loop
+            by_degree[degree] = by_degree.get(degree, 0) | members & cand
+            c &= ~members
+        return [by_degree[d] for d in sorted(by_degree, reverse=True)]
 
     path = [start]
     visited = start_bit
@@ -314,7 +314,10 @@ def hamiltonian_search(
             if stack:
                 visited ^= 1 << path.pop()
             continue
-        v = frame.pop()
+        v = (frame[-1] & -frame[-1]).bit_length() - 1
+        frame[-1] &= frame[-1] - 1  # clears v's bit
+        if not frame[-1]:
+            frame.pop()
         steps += 1
         if steps > budget:
             return HamiltonicityEvidence(

@@ -1,13 +1,14 @@
 """Simple undirected graphs and the prime coprime graph construction.
 
 A SimpleGraph is a list of twin classes, each with its members, one sorted
-base row and that row's int mask; a vertex's neighbour mask is its class's.
-Adjacency in the prime coprime graph depends only on element orders, so
-build_theta makes each order class (groups.order_classes) one twin class,
-its mask the OR of the gcd-adjacent classes' member masks.  class_degrees
-reads the degrees off the order classes without building any row: the
-degree, dominating-set and completeness claims and the dihedral
-Hamiltonicity (Dirac) bound need nothing more.
+base row and that row's int mask; a vertex's neighbour mask is its class's,
+and class_table (built on first use) lets component_count and the
+Hamiltonicity search take one step per class.  Prime coprime adjacency
+depends only on element orders: build_theta makes each order class
+(groups.order_classes) one twin class, its mask the OR of the gcd-adjacent
+classes' member masks.  class_degrees reads degrees off the order classes
+without building any row: the degree, dominating-set and completeness claims
+and the dihedral Hamiltonicity (Dirac) bound need nothing more.
 
 dot_chunks and json_chunks yield the export one vertex row at a time, each
 row the upper tail of its class's base, so a caller that writes the pieces
@@ -72,7 +73,7 @@ class SimpleGraph:
     (vertex count and rows), not classes or labels.
     """
 
-    __slots__ = ("vertex_count", "classes", "rows", "labels")
+    __slots__ = ("vertex_count", "classes", "rows", "labels", "_table")
 
     def __init__(self, classes: Iterable[tuple[Sequence[int], Sequence[int], int]],
                  labels: tuple[str, ...] | None = None) -> None:
@@ -87,14 +88,32 @@ class SimpleGraph:
         if labels is not None and len(labels) != self.vertex_count:
             raise ValueError("labels must align with the vertex list")
         self.labels = labels
+        self._table = None
+
+    def twin_degrees(self) -> Iterator[tuple[Sequence[int], int]]:
+        """(members, degree) per nonempty class: mask bit count, less one if self-adjacent."""
+        return ((m, mask.bit_count() - (mask >> m[0] & 1)) for m, _, mask in self.classes if m)
+
+    def class_table(self) -> tuple[list[int], list[tuple[int, int, int]]]:
+        """(each vertex's class index, one (member mask, class mask, 1 if
+        self-adjacent else 0) per nonempty class), built on first use and kept."""
+        if self._table is None:
+            class_of, table = [0] * self.vertex_count, []
+            for members, _, mask in self.classes:
+                for v in members:
+                    class_of[v] = len(table)
+                if members:
+                    table.append((_mask(members, self.vertex_count), mask, mask >> members[0] & 1))
+            self._table = class_of, table
+        return self._table
 
     def min_degree(self) -> int:
         if self.vertex_count == 0:
             raise ValueError("minimum degree of an empty graph is undefined")
-        return min(row.bit_count() for row in self.rows)
+        return min(degree for _, degree in self.twin_degrees())
 
     def edge_count(self) -> int:
-        return sum(row.bit_count() for row in self.rows) // 2
+        return sum(len(members) * degree for members, degree in self.twin_degrees()) // 2
 
     def neighbor_sets(self) -> tuple[frozenset[int], ...]:
         return tuple(frozenset(_bits(row)) for row in self.rows)
@@ -195,36 +214,44 @@ def build_theta(group: GroupSpec, vertex_cap: int = DEFAULT_VERTEX_CAP) -> Simpl
     return SimpleGraph(twins, tuple(element_labels(group)))
 
 
-def _spread(rows: list[int], seed: int, region: int) -> int:
-    """Vertices of region reachable from seed inside region (mask BFS)."""
+def _spread(graph: SimpleGraph, seed: int, region: int) -> int:
+    """Vertices of region reachable from seed inside region: a mask BFS whose
+    levels OR one class mask per class the frontier meets (twins share a row)."""
+    class_of, table = graph.class_table()
     reach = seed & region
     frontier = reach
     while frontier:
         grown = 0
-        f = frontier
-        while f:
-            bit = f & -f
-            grown |= rows[bit.bit_length() - 1]
-            f ^= bit
-        grown &= region & ~reach
-        reach |= grown
-        frontier = grown
+        while frontier:
+            members, mask, _ = table[class_of[(frontier & -frontier).bit_length() - 1]]
+            grown |= mask
+            frontier &= ~members
+        frontier = grown & region & ~reach
+        reach |= frontier
     return reach
 
 
 def component_count(graph: SimpleGraph, removed=()) -> int:
     """Number of connected components once the removed vertices (and their
-    edges) are deleted; 0 when every vertex is removed."""
+    edges) are deleted; 0 when every vertex is removed.  A class with no
+    neighbour left adds each member left as a component of its own."""
     n = graph.vertex_count
     removed = list(removed)
     for v in removed:
         if not 0 <= v < n:
             raise ValueError(f"vertex {v} out of range")
     left = ((1 << n) - 1) & ~_mask(removed, n)
+    class_of, table = graph.class_table()
     count = 0
     while left:
-        left &= ~_spread(graph.rows, left & -left, left)
-        count += 1
+        low = left & -left
+        members, mask, _ = table[class_of[low.bit_length() - 1]]
+        if mask & left:
+            left &= ~_spread(graph, low, left)
+            count += 1
+        else:
+            count += (members & left).bit_count()
+            left &= ~members
     return count
 
 

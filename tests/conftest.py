@@ -81,6 +81,19 @@ def from_edges(m: int, edges) -> SimpleGraph:
     return SimpleGraph(((v,), sorted(s), sum(1 << u for u in s)) for v, s in enumerate(nbrs))
 
 
+def blow_up(parts, cliques, links) -> SimpleGraph:
+    """Graph whose twin classes are the parts (vertex lists that together
+    cover 0..N-1): part i is a clique when i is in cliques and independent
+    otherwise, and parts i and j are fully joined when (i, j) is in links.
+    Built with SimpleGraph(classes) directly, so a class has many members."""
+    linked = {(i, i) for i in cliques} | set(links) | {(j, i) for i, j in links}
+    classes = []
+    for i, members in enumerate(parts):
+        base = sorted(v for j, other in enumerate(parts) if (i, j) in linked for v in other)
+        classes.append((sorted(members), base, sum(1 << v for v in base)))
+    return SimpleGraph(classes)
+
+
 def has_edge(graph: SimpleGraph, u: int, v: int) -> bool:
     """Bit v of u's neighbour mask: what the reference exporters and the
     brute forcers read, so they never touch the class bases."""

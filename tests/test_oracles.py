@@ -21,15 +21,19 @@ from primecoprime.oracles import (
 from primecoprime.pcgraph import (
     build_theta,
     complete,
+    component_count,
     empty_graph,
     join,
 )
 from primecoprime.verification import run_clique, run_epo_complete
 from conftest import (
     assert_valid_cycle,
+    bfs_component_count,
+    blow_up,
     brute_hamiltonian,
     brute_max_clique,
     cycle_graph,
+    edge_list,
     from_edges,
     has_edge,
 )
@@ -229,6 +233,75 @@ def test_search_matches_brute_force(g):
         assert_valid_cycle(g, evidence.cycle)
     if evidence.cut_set is not None:
         assert cut_witness_check(g, evidence.cut_set)
+
+
+@st.composite
+def blow_ups(draw):
+    # 1-6 twin classes of 1-4 members, scattered over the vertices, each a
+    # clique or independent, joined along a random quotient graph
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=6))
+    order = draw(st.permutations(range(sum(sizes))))
+    parts = [order[sum(sizes[:i]):sum(sizes[:i + 1])] for i in range(len(sizes))]
+    cliques = [i for i in range(len(sizes)) if draw(st.booleans())]
+    links = [pair for pair in combinations(range(len(sizes)), 2) if draw(st.booleans())]
+    return blow_up(parts, cliques, links)
+
+
+@settings(max_examples=200)
+@given(blow_ups())
+def test_search_on_twin_class_blow_ups(g):
+    assert g == from_edges(g.vertex_count, edge_list(g))  # symmetric rows, no loops
+    small = g.vertex_count <= 8
+    # past 8 vertices brute force is out of reach, so only evidence is checked
+    evidence = hamiltonian_search(g) if small else hamiltonian_search(g, budget=5000)
+    if small:
+        assert evidence.verdict is not Verdict.INCONCLUSIVE
+        assert (evidence.verdict is Verdict.HAMILTONIAN) == brute_hamiltonian(g)
+    if evidence.cycle is not None:
+        assert_valid_cycle(g, evidence.cycle)
+    if evidence.cut_set is not None:
+        assert cut_witness_check(g, evidence.cut_set)
+
+
+@settings(max_examples=200)
+@given(blow_ups(), st.data())
+def test_component_count_on_twin_class_blow_ups(g, data):
+    removed = data.draw(st.sets(st.integers(0, g.vertex_count - 1), max_size=g.vertex_count))
+    assert component_count(g, removed) == bfs_component_count(g, removed)
+
+
+# twin-class blow-ups on which the search backtracks: one before its cycle
+# (a clique class {2, 9}, independent classes of two and three members), one
+# to exhaustion, where one-vertex clique classes ({3}, {0}) make the
+# two-connections rule discount a vertex's own bit
+_BACKTRACKING = blow_up(
+    [[1, 4, 10], [0, 7], [11], [8], [3, 5, 6], [2, 9]],
+    [5],
+    [(0, 3), (0, 4), (0, 5), (1, 2), (1, 5), (2, 3), (2, 4), (3, 5)],
+)
+_EXHAUSTED = blow_up(
+    [[3], [0], [5], [2, 4, 8], [1, 6, 7]], [0, 1, 4], [(0, 4), (1, 4), (2, 3), (2, 4), (3, 4)]
+)
+
+
+@pytest.mark.parametrize(
+    "graph, verdict, budget",
+    [(petersen(), Verdict.NON_HAMILTONIAN, 141),
+     (build_theta(cyclic(113)), Verdict.HAMILTONIAN, 112),
+     (build_theta(dicyclic(15)), Verdict.HAMILTONIAN, 60),
+     (build_theta(dicyclic(59)), Verdict.HAMILTONIAN, 236),
+     (_BACKTRACKING, Verdict.HAMILTONIAN, 476),
+     (_EXHAUSTED, Verdict.NON_HAMILTONIAN, 738)],
+    ids=["petersen", "theta-Z113", "theta-Q15", "theta-Q59", "blow-up", "blow-up-exhausted"],
+)
+def test_search_least_budget(graph, verdict, budget):
+    # budget is the search's step count: the least budget that decides it,
+    # which pins the order in which it explores
+    evidence = hamiltonian_search(graph, budget)
+    assert evidence.verdict is verdict
+    if evidence.cycle is not None:
+        assert_valid_cycle(graph, evidence.cycle)
+    assert hamiltonian_search(graph, budget - 1).verdict is Verdict.INCONCLUSIVE
 
 
 # ---------------------------------------------------------------------------
