@@ -5,8 +5,9 @@
   pcg verify CLAIM [A..B | A..B-by-group-order] [--report PATH] [...]
 
 Exit codes: 0 all checks pass, 1 a verification failed, 2 usage error,
-3 capacity exceeded: above the vertex cap, or out of memory, 4 a check was
-inconclusive (budget ran out).
+3 capacity exceeded: above the vertex cap, a query's cyclic part above
+QUERY_ORDER_CAP, a phi-sum range above its cap, or out of memory, 4 a check
+was inconclusive (budget ran out).
 """
 
 from __future__ import annotations
@@ -39,6 +40,10 @@ EXIT_CAPACITY = 3
 EXIT_INCONCLUSIVE = 4
 
 _FAMILY_NAMES = sorted(f.value for f in Family)
+
+# largest cyclic-part order a query takes: the closed forms factorize it by
+# trial division, about 2 s for a prime just below 10^16
+QUERY_ORDER_CAP = 10**16
 
 
 def non_negative_int(text: str) -> int:
@@ -129,6 +134,11 @@ def _cmd_query(args: argparse.Namespace) -> int:
     if args.element is not None and args.what != "degree":
         raise ValueError(f"{args.what} queries take no element label")
     group = GroupSpec(Family(args.family), args.n)
+    if group.cyclic_order > QUERY_ORDER_CAP:
+        raise CapacityError(
+            f"{group} has a cyclic part of order {group.cyclic_order}, "
+            f"above the query cap of {QUERY_ORDER_CAP}"
+        )
     if args.what == "clique":
         print(clique_number(group))
         return EXIT_OK

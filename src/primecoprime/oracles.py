@@ -11,6 +11,7 @@ non-Hamiltonicity and every verdict carries checkable evidence (a cycle or
 a disconnecting cut).  Nothing here is randomized; identical inputs always
 produce identical outputs.
 
+dominating_vertices reads SimpleGraph.twin_degrees, so it builds no mask;
 max_clique reads SimpleGraph.rows as bitsets; hamiltonian_search also reads
 class_table, so its checks and candidate lists take one step per twin class.
 """

@@ -1,19 +1,17 @@
 """Simple undirected graphs and the prime coprime graph construction.
 
-A SimpleGraph is a list of twin classes, each with its members, one sorted
-base row and that row's int mask; a vertex's neighbour mask is its class's,
-and class_table (built on first use) lets component_count and the
-Hamiltonicity search take one step per class.  Prime coprime adjacency
-depends only on element orders: build_theta makes each order class
-(groups.order_classes) one twin class, its mask the OR of the gcd-adjacent
-classes' member masks.  class_degrees reads degrees off the order classes
-without building any row: the degree, dominating-set and completeness claims
-and the dihedral Hamiltonicity (Dirac) bound need nothing more.
+A SimpleGraph is its quotient: twin classes, each its members and the
+classes fully joined to it.  Degrees and the edge count are read off the
+class sizes; the class masks (class_table) and the per-vertex rows cut from
+them are built on first read, so a graph that is only counted or exported
+builds no mask.  Prime coprime adjacency depends only on element orders:
+build_theta makes each order class (groups.order_classes) one twin class,
+linked to the gcd-adjacent classes, with labels built on first read.
 
 dot_chunks and json_chunks yield the export one vertex row at a time, each
-row the upper tail of its class's base, so a caller that writes the pieces
-as they come never holds the whole text; graph_to_dot and graph_to_json
-join the pieces into one string.
+row the upper tail of its class's base (the linked classes' members), so a
+caller that writes the pieces as they come never holds the whole text;
+graph_to_dot and graph_to_json join the pieces into one string.
 
 verify_hjoin_structure checks the layout the graph forces: part 0 a clique
 (the identity and the prime-order elements), every other part an independent
@@ -27,7 +25,7 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_right
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import chain, combinations
 
@@ -42,7 +40,6 @@ __all__ = [
     "complete",
     "join",
     "check_vertex_cap",
-    "class_degrees",
     "build_theta",
     "component_count",
     "validate_partition",
@@ -63,49 +60,66 @@ class CapacityError(Exception):
 
 class SimpleGraph:
     """Undirected simple graph on vertices 0..vertex_count-1, held as twin
-    classes: one (members, base, mask) triple per class.  The ascending
-    members of all classes partition the vertices; base is the sorted list
-    of the vertices adjacent to the members, the members included when the
-    class is self-adjacent (a clique); mask has the bits of base set.
-    rows[v] is v's neighbour mask: its class's mask, less v's own bit in a
-    self-adjacent class.  Instances are treated as immutable; constructors
-    in this module produce canonical data.  Equality compares structure
-    (vertex count and rows), not classes or labels.
+    classes: one (members, linked) pair per class.  The ascending members of
+    all classes partition the vertices; linked holds the indices of the
+    classes fully joined to this one, its own when it is a clique.  labels
+    is None or a function returning the vertex names, called on first read.
+    Instances are treated as immutable.  Equality compares structure (vertex
+    count and rows), not classes or labels.
     """
 
-    __slots__ = ("vertex_count", "classes", "rows", "labels", "_table")
+    __slots__ = ("vertex_count", "classes", "_labels", "_table", "_rows")
 
-    def __init__(self, classes: Iterable[tuple[Sequence[int], Sequence[int], int]],
-                 labels: tuple[str, ...] | None = None) -> None:
+    def __init__(self, classes: Iterable[tuple[Sequence[int], Sequence[int]]],
+                 labels: Callable[[], Iterable[str]] | None = None) -> None:
         self.classes = tuple(classes)
-        self.vertex_count = sum(len(members) for members, _, _ in self.classes)
-        rows = [0] * self.vertex_count
-        for members, _, mask in self.classes:
-            clique = members and mask >> members[0] & 1
-            for v in members:
-                rows[v] = mask ^ (1 << v) if clique else mask
-        self.rows = rows
-        if labels is not None and len(labels) != self.vertex_count:
-            raise ValueError("labels must align with the vertex list")
-        self.labels = labels
+        self.vertex_count = sum(len(members) for members, _ in self.classes)
+        self._labels = labels
         self._table = None
+        self._rows = None
+
+    @property
+    def labels(self) -> tuple[str, ...] | None:
+        """The vertex names, built on first read; None for an unlabelled graph."""
+        if callable(self._labels):
+            labels = tuple(self._labels())
+            if len(labels) != self.vertex_count:
+                raise ValueError("labels must align with the vertex list")
+            self._labels = labels
+        return self._labels
 
     def twin_degrees(self) -> Iterator[tuple[Sequence[int], int]]:
-        """(members, degree) per nonempty class: mask bit count, less one if self-adjacent."""
-        return ((m, mask.bit_count() - (mask >> m[0] & 1)) for m, _, mask in self.classes if m)
+        """(members, degree) per nonempty class: the linked classes' sizes,
+        less one when the class is linked to itself."""
+        sizes = [len(members) for members, _ in self.classes]
+        return ((members, sum(map(sizes.__getitem__, linked)) - (i in linked))
+                for i, (members, linked) in enumerate(self.classes) if members)
 
     def class_table(self) -> tuple[list[int], list[tuple[int, int, int]]]:
         """(each vertex's class index, one (member mask, class mask, 1 if
-        self-adjacent else 0) per nonempty class), built on first use and kept."""
+        self-adjacent else 0) per class), built on first use and kept; a
+        class mask is the OR of the linked classes' member masks."""
         if self._table is None:
-            class_of, table = [0] * self.vertex_count, []
-            for members, _, mask in self.classes:
+            class_of, owns = [0] * self.vertex_count, []
+            for i, (members, _) in enumerate(self.classes):
                 for v in members:
-                    class_of[v] = len(table)
-                if members:
-                    table.append((_mask(members, self.vertex_count), mask, mask >> members[0] & 1))
-            self._table = class_of, table
+                    class_of[v] = i
+                owns.append(_mask(members, self.vertex_count))
+            self._table = class_of, [(owns[i], sum(owns[j] for j in linked), int(i in linked))
+                                     for i, (_, linked) in enumerate(self.classes)]  # sum is OR
         return self._table
+
+    @property
+    def rows(self) -> list[int]:
+        """rows[v] is v's neighbour mask: its class mask from class_table,
+        less v's own bit in a self-adjacent class; built on first read."""
+        if self._rows is None:
+            rows = [0] * self.vertex_count
+            for (members, _), (_, mask, clique) in zip(self.classes, self.class_table()[1]):
+                for v in members:
+                    rows[v] = mask ^ (1 << v) if clique else mask
+            self._rows = rows
+        return self._rows
 
     def min_degree(self) -> int:
         if self.vertex_count == 0:
@@ -141,30 +155,29 @@ def _bits(mask: int) -> list[int]:
 
 
 def empty_graph(m: int) -> SimpleGraph:
-    """Edgeless graph on m vertices: one class that is not self-adjacent."""
+    """Edgeless graph on m vertices: one class linked to nothing."""
     if m < 0:
         raise ValueError("vertex count must be >= 0")
-    return SimpleGraph([(range(m), (), 0)])
+    return SimpleGraph([(range(m), ())])
 
 
 def complete(m: int) -> SimpleGraph:
-    """Complete graph on m vertices: one self-adjacent class."""
+    """Complete graph on m vertices: one class linked to itself."""
     if m < 0:
         raise ValueError("vertex count must be >= 0")
-    return SimpleGraph([(range(m), range(m), (1 << m) - 1)])
+    return SimpleGraph([(range(m), (0,))])
 
 
 def join(a: SimpleGraph, b: SimpleGraph) -> SimpleGraph:
-    """Join of two graphs: disjoint union plus all cross edges.  Each class
-    of a gains b's vertices, shifted past a's, and each class of b gains
-    a's vertices."""
-    na, nb = a.vertex_count, b.vertex_count
-    cross_b, cross_a = list(range(na, na + nb)), list(range(na))
-    all_b, all_a = ((1 << nb) - 1) << na, (1 << na) - 1
+    """Join of two graphs: disjoint union plus all cross edges.  b's classes
+    follow a's, their members shifted past a's vertices; each class of a
+    gains a link to every class of b, and each class of b to every class of a."""
+    na, ka = a.vertex_count, len(a.classes)
+    of_a, of_b = range(ka), range(ka, ka + len(b.classes))
     return SimpleGraph(
-        [(members, [*base, *cross_b], mask | all_b) for members, base, mask in a.classes]
-        + [([v + na for v in members], cross_a + [v + na for v in base], mask << na | all_a)
-           for members, base, mask in b.classes])
+        [(members, (*linked, *of_b)) for members, linked in a.classes]
+        + [([v + na for v in members], (*of_a, *(j + ka for j in linked)))
+           for members, linked in b.classes])
 
 
 def _adjacent_orders(d1: int, d2: int) -> bool:
@@ -181,37 +194,22 @@ def check_vertex_cap(group: GroupSpec, vertex_cap: int) -> None:
         )
 
 
-def class_degrees(
-    group: GroupSpec, vertex_cap: int = DEFAULT_VERTEX_CAP
-) -> list[tuple[list[int], int]]:
-    """(members, degree) for each order class, in the order of order_classes:
-    the degree each member has in the prime coprime graph, counted without
-    building it.  It is the total size of the classes gcd-adjacent to the
-    class, less one when the class is adjacent to itself (a vertex is not its
-    own neighbour).  The vertex cap applies as in build_theta."""
-    check_vertex_cap(group, vertex_cap)
-    classes = order_classes(group)
-    degrees = []
-    for d, members in classes.items():
-        linked = sum(len(m) for d2, m in classes.items() if _adjacent_orders(d, d2))
-        degrees.append((members, linked - 1 if _adjacent_orders(d, d) else linked))
-    return degrees
-
-
 def build_theta(group: GroupSpec, vertex_cap: int = DEFAULT_VERTEX_CAP) -> SimpleGraph:
     """Prime coprime graph of the group: vertices are the elements in
     canonical order, an edge joins u != v iff gcd(|u|, |v|) is 1 or prime.
-    Each order class is one twin class; its mask is the OR of the member
-    masks of the gcd-adjacent classes, and its base their merged members."""
+    Each order class is one twin class, linked to the gcd-adjacent classes
+    (itself included when its order is 1 or prime)."""
     check_vertex_cap(group, vertex_cap)
     classes = order_classes(group)
-    masks = {d: _mask(members, group.order) for d, members in classes.items()}
-    twins = []
-    for d, members in classes.items():
-        linked = [d2 for d2 in classes if _adjacent_orders(d, d2)]
-        base = sorted(chain.from_iterable(classes[d2] for d2 in linked))
-        twins.append((members, base, sum(masks[d2] for d2 in linked)))  # disjoint: sum is OR
-    return SimpleGraph(twins, tuple(element_labels(group)))
+    orders = list(classes)
+    linked: list[list[int]] = [[] for _ in orders]
+    for i, d in enumerate(orders):  # the rule is symmetric: each pair once, lists ascending
+        for j in range(i + 1):
+            if _adjacent_orders(d, orders[j]):
+                linked[i].append(j)
+                if j < i:
+                    linked[j].append(i)
+    return SimpleGraph(zip(classes.values(), linked), lambda: element_labels(group))
 
 
 def _spread(graph: SimpleGraph, seed: int, region: int) -> int:
@@ -341,8 +339,10 @@ def _upper_rows(graph: SimpleGraph) -> Iterator[tuple[int, Sequence[int]]]:
     """(u, the neighbours of u above u) for each vertex u that has one, in
     vertex order: every edge once, as its lower end's row.  It is cut from
     u's class base, which holds u only when the class is self-adjacent."""
+    classes = graph.classes
     base_of: list[Sequence[int]] = [()] * graph.vertex_count
-    for members, base, _ in graph.classes:
+    for members, linked in classes:
+        base = sorted(chain.from_iterable(classes[j][0] for j in linked))
         for v in members:
             base_of[v] = base
     for u, base in enumerate(base_of):

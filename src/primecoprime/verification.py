@@ -7,12 +7,12 @@ check, which returns none for a group the claim does not speak about.  Every
 one-family run_* sweep takes (family, lo, hi, by_order, limits), so CLAIMS
 names it directly; run_decomp, over a list of families, goes through _decomp.
 
-The degree, dominating-set and completeness oracles, and the dihedral
-Hamiltonicity bound, read vertex degrees off the order classes
-(pcgraph.class_degrees), and decomp-* checks its H-join between classes, so
-none of them builds the graph.  The clique, cyclic and dicyclic
-Hamiltonicity, ham-cut and join-identity oracles run on the neighbour masks
-that build_theta ORs together from the classes; no edge list is built.
+Every graph oracle reads build_theta's graph, held as its order classes.
+The degree, dominating-set and completeness oracles and the dihedral
+Hamiltonicity bound read degrees off the class sizes, so they build no mask;
+decomp-* checks its H-join between classes and builds no graph.  The other
+oracles run on the class and neighbour masks that the graph builds on first
+use; no edge list is built.
 
 Records are sorted and serialized in a fixed order with no timestamps or
 randomness, so repeated runs of the same sweep produce byte-identical
@@ -37,9 +37,9 @@ from .groups import (
 from .numtheory import _divisors_of, _factorizations, euler_phi, phi_sum_expansion
 from .pcgraph import (
     DEFAULT_VERTEX_CAP,
+    CapacityError,
     build_theta,
     check_vertex_cap,
-    class_degrees,
     complete,
     component_count,
     empty_graph,
@@ -70,6 +70,9 @@ __all__ = [
 _PHI_SUM = "phi-sum"
 _DOMINATING_SET = "dominating-set"
 _EPO_COMPLETE = "epo-complete"
+
+# largest n a phi-sum sweep checks
+PHI_SUM_CAP = 10**6
 
 
 @dataclass
@@ -187,8 +190,12 @@ def run_phi_sum(lo: int = 2, hi: int = 100000) -> list[ClaimRecord]:
     """phi_sum_expansion(factorize(n)) == sum of euler_phi over divisors == n.
 
     The range is factorized by one segmented sieve; the divisors come from
-    the same factorization, and each euler_phi(d) from trial division.
+    the same factorization, and each euler_phi(d) from trial division.  An
+    hi above PHI_SUM_CAP raises CapacityError before any work: records are
+    collected in memory, about 415 MB for 2..10^6.
     """
+    if hi > PHI_SUM_CAP:
+        raise CapacityError(f"phi-sum checks n up to {PHI_SUM_CAP}, got {hi}")
     records = []
     cache: dict[int, int] = {}
     for f in _factorizations(max(lo, 2), hi):
@@ -210,9 +217,7 @@ def run_dominating_set(
 
     def check(group: GroupSpec) -> list[ClaimRecord]:
         want = s_indices(group)
-        full = group.order - 1
-        got = tuple(sorted(v for members, degree in class_degrees(group, limits.vertex_cap)
-                           if degree == full for v in members))
+        got = oracles.dominating_vertices(build_theta(group, limits.vertex_cap))
         ok = want == got
         note = None if ok else f"expected {len(want)} dominating vertices, graph has {len(got)}"
         return [_record(_DOMINATING_SET, group, len(want), len(got), _verdict(ok), note)]
@@ -223,13 +228,12 @@ def run_dominating_set(
 def run_epo_complete(
     family: Family, lo: int, hi: int, by_order: bool = False, limits: Limits = Limits()
 ) -> list[ClaimRecord]:
-    """Only identity/prime orders <=> the graph is complete (every class
-    degree is |G| - 1)."""
+    """Only identity/prime orders <=> the graph is complete (its minimum
+    degree, read off the order classes, is |G| - 1)."""
 
     def check(group: GroupSpec) -> list[ClaimRecord]:
         epo = is_epo(group)
-        full = group.order - 1
-        comp = all(degree == full for _, degree in class_degrees(group, limits.vertex_cap))
+        comp = build_theta(group, limits.vertex_cap).min_degree() == group.order - 1
         return [_record(_EPO_COMPLETE, group, epo, comp, _verdict(epo == comp))]
 
     return _sweep(check, family, lo, hi, by_order)
@@ -263,7 +267,7 @@ def run_degree(
     by_order: bool = False, limits: Limits = Limits(),
 ) -> list[ClaimRecord]:
     """Closed-form degree == neighbor count, for every element; the count is
-    the class degree of pcgraph.class_degrees, so the graph is not built.
+    the graph's class degree (twin_degrees), so no mask is built.
 
     With per_element=False one record per group is emitted whose formula and
     oracle fields are the degree totals; the verdict still requires every
@@ -273,7 +277,7 @@ def run_degree(
 
     def check(group: GroupSpec) -> list[ClaimRecord]:
         oracle = [0] * group.order
-        for members, degree in class_degrees(group, limits.vertex_cap):
+        for members, degree in build_theta(group, limits.vertex_cap).twin_degrees():
             for v in members:
                 oracle[v] = degree
         formulas = cf.theta_degrees(group)
@@ -296,13 +300,13 @@ def run_ham(
 ) -> list[ClaimRecord]:
     """Hamiltonicity characterization against search (cyclic, dicyclic) or
     the minimum-degree bound (dihedral, where it always applies; the minimum
-    degree is read off the order classes, so the graph is not built)."""
+    degree is read off the order classes, so no mask is built)."""
     claim = f"ham-{family.value}"
 
     def check(group: GroupSpec) -> list[ClaimRecord]:
         formula = cf.is_hamiltonian(group)
         if family is Family.DIHEDRAL:
-            low = min(degree for _, degree in class_degrees(group, limits.vertex_cap))
+            low = build_theta(group, limits.vertex_cap).min_degree()
             found = oracles.dirac_check(low, group.order)
             certificate = f"min-degree={low},vertices={group.order}"
         else:

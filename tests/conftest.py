@@ -13,6 +13,8 @@ import math
 from collections import deque
 from itertools import combinations, permutations
 
+from hypothesis import strategies as st
+
 from primecoprime.groups import Family, GroupSpec, elements
 from primecoprime.pcgraph import SimpleGraph
 
@@ -67,7 +69,7 @@ def naive_element_order(group: GroupSpec, element) -> int:
 
 def from_edges(m: int, edges) -> SimpleGraph:
     """Graph on m vertices with the given edges (validated, deduplicated),
-    one twin class per vertex: its base is the vertex's sorted neighbours."""
+    one twin class per vertex: class v is linked to the vertex's neighbours."""
     if m < 0:
         raise ValueError("vertex count must be >= 0")
     nbrs: list[set[int]] = [set() for _ in range(m)]
@@ -78,7 +80,7 @@ def from_edges(m: int, edges) -> SimpleGraph:
             raise ValueError(f"self-loop at vertex {u}")
         nbrs[u].add(v)
         nbrs[v].add(u)
-    return SimpleGraph(((v,), sorted(s), sum(1 << u for u in s)) for v, s in enumerate(nbrs))
+    return SimpleGraph(((v,), sorted(s)) for v, s in enumerate(nbrs))
 
 
 def blow_up(parts, cliques, links) -> SimpleGraph:
@@ -87,16 +89,25 @@ def blow_up(parts, cliques, links) -> SimpleGraph:
     otherwise, and parts i and j are fully joined when (i, j) is in links.
     Built with SimpleGraph(classes) directly, so a class has many members."""
     linked = {(i, i) for i in cliques} | set(links) | {(j, i) for i, j in links}
-    classes = []
-    for i, members in enumerate(parts):
-        base = sorted(v for j, other in enumerate(parts) if (i, j) in linked for v in other)
-        classes.append((sorted(members), base, sum(1 << v for v in base)))
-    return SimpleGraph(classes)
+    return SimpleGraph((sorted(members), [j for j in range(len(parts)) if (i, j) in linked])
+                       for i, members in enumerate(parts))
+
+
+@st.composite
+def blow_ups(draw):
+    # 1-6 twin classes of 1-4 members, scattered over the vertices, each a
+    # clique or independent, joined along a random quotient graph
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=6))
+    order = draw(st.permutations(range(sum(sizes))))
+    parts = [order[sum(sizes[:i]):sum(sizes[:i + 1])] for i in range(len(sizes))]
+    cliques = [i for i in range(len(sizes)) if draw(st.booleans())]
+    links = [pair for pair in combinations(range(len(sizes)), 2) if draw(st.booleans())]
+    return blow_up(parts, cliques, links)
 
 
 def has_edge(graph: SimpleGraph, u: int, v: int) -> bool:
     """Bit v of u's neighbour mask: what the reference exporters and the
-    brute forcers read, so they never touch the class bases."""
+    brute forcers read, so they never touch the class links."""
     return (graph.rows[u] >> v) & 1 == 1
 
 

@@ -254,9 +254,15 @@ def _refuse_expansion(*args, **kwargs):
     raise AssertionError("the claim expanded the graph")
 
 
+def _refuse_work(*args, **kwargs):
+    raise AssertionError("the command worked before it refused")
+
+
+# class_table is where a graph builds its masks, and rows are cut from it, so
+# a claim or export that never calls it never expands the graph
 def test_decomp_never_expands_the_graph(monkeypatch):
     monkeypatch.setattr(ver, "build_theta", _refuse_expansion)
-    monkeypatch.setattr(pcgraph.SimpleGraph, "neighbor_sets", _refuse_expansion)
+    monkeypatch.setattr(pcgraph.SimpleGraph, "class_table", _refuse_expansion)
     records = ver.CLAIMS["decomp-all"].run(1, 120, by_order=True)
     assert records and all(r.verdict == "pass" for r in records)
 
@@ -267,11 +273,32 @@ def test_decomp_never_expands_the_graph(monkeypatch):
      "ham-dihedral"],
 )
 def test_degree_claims_never_expand_the_graph(name, monkeypatch):
-    monkeypatch.setattr(ver, "build_theta", _refuse_expansion)
+    monkeypatch.setattr(pcgraph.SimpleGraph, "class_table", _refuse_expansion)
     claim = ver.CLAIMS[name]
     lo, hi, by_order = claim.default
     records = claim.run(lo, hi, by_order)
     assert records and all(r.verdict == "pass" for r in records)
+
+
+@pytest.mark.parametrize("fmt", ["dot", "json"])
+def test_theta_export_never_expands_the_graph(fmt, capsys, monkeypatch):
+    # the export cuts its rows from the class links, not from masks
+    monkeypatch.setattr(pcgraph.SimpleGraph, "class_table", _refuse_expansion)
+    code, out, err = run(capsys, "theta", "dicyclic", "6", "--format", fmt)
+    assert (code, err) == (0, "")
+    monkeypatch.undo()
+    assert run(capsys, "theta", "dicyclic", "6", "--format", fmt)[1] == out
+
+
+def test_phi_sum_above_its_cap_exits_before_any_work(capsys, monkeypatch):
+    # the records of a phi-sum sweep are held in memory, so hi is capped
+    monkeypatch.setattr(ver, "_factorizations", _refuse_work)
+    code, out, err = run(capsys, "verify", "phi-sum", f"2..{_HUGE}")
+    assert (code, out) == (3, "")
+    assert err == f"error: phi-sum checks n up to {ver.PHI_SUM_CAP}, got {_HUGE}\n"
+    assert run(capsys, "verify", "phi-sum", f"{ver.PHI_SUM_CAP + 1}..{ver.PHI_SUM_CAP + 1}")[0] == 3
+    monkeypatch.undo()
+    assert run(capsys, "verify", "phi-sum", f"{ver.PHI_SUM_CAP}..{ver.PHI_SUM_CAP}")[0] == 0
 
 
 @pytest.mark.parametrize(
@@ -407,6 +434,23 @@ def test_query_bad_element_label(capsys):
     for family, label in (("cyclic", "x9"), ("cyclic", "g01"), ("dicyclic", "a07b")):
         code, out, err = run(capsys, "query", "degree", family, "12", label)
         assert (code, out) == (2, "") and "error:" in err, label
+
+
+@pytest.mark.parametrize("what", ["clique", "degree", "hamiltonian", "decompose"])
+def test_query_above_the_order_cap_exits_before_factorizing(what, capsys, monkeypatch):
+    # the closed forms factorize the cyclic part by trial division, which
+    # would not end in reasonable time for an order with a huge prime factor
+    monkeypatch.setattr(closedforms, "factorize", _refuse_work)
+    g1, a1 = (["g1"], ["a1"]) if what == "degree" else ([], [])
+    code, out, err = run(capsys, "query", what, "cyclic", "1000000000000000003", *g1)
+    assert (code, out) == (3, "")
+    assert err == ("error: cyclic(n=1000000000000000003) has a cyclic part of order "
+                   f"1000000000000000003, above the query cap of {cli.QUERY_ORDER_CAP}\n")
+    # the cap is on the cyclic part, which is 2n for Q_n
+    half = cli.QUERY_ORDER_CAP // 2
+    assert run(capsys, "query", what, "dicyclic", str(half + 1), *a1)[0] == 3
+    monkeypatch.undo()
+    assert run(capsys, "query", what, "dicyclic", str(half), *a1)[0] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -600,7 +644,9 @@ def verify_argv(draw):
 @st.composite
 def query_argv(draw):
     what = draw(st.sampled_from(["clique", "degree", "hamiltonian", "decompose"]))
-    argv = ["query", what, draw(_FAMILY), str(draw(st.integers(-2, 10**4)))]
+    # n up to 10^4, or past the order cap, where the query exits 3 at once
+    n = st.integers(-2, 10**4) | st.integers(cli.QUERY_ORDER_CAP + 1, 10**30)
+    argv = ["query", what, draw(_FAMILY), str(draw(n))]
     if draw(st.booleans()):
         label = st.builds("{}{}{}".format, st.sampled_from(["g", "r", "s", "a", "b", "x", ""]),
                           st.integers(-1, 100), st.sampled_from(["", "b"]))

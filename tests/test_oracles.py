@@ -30,6 +30,7 @@ from conftest import (
     assert_valid_cycle,
     bfs_component_count,
     blow_up,
+    blow_ups,
     brute_hamiltonian,
     brute_max_clique,
     cycle_graph,
@@ -233,18 +234,6 @@ def test_search_matches_brute_force(g):
         assert_valid_cycle(g, evidence.cycle)
     if evidence.cut_set is not None:
         assert cut_witness_check(g, evidence.cut_set)
-
-
-@st.composite
-def blow_ups(draw):
-    # 1-6 twin classes of 1-4 members, scattered over the vertices, each a
-    # clique or independent, joined along a random quotient graph
-    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=6))
-    order = draw(st.permutations(range(sum(sizes))))
-    parts = [order[sum(sizes[:i]):sum(sizes[:i + 1])] for i in range(len(sizes))]
-    cliques = [i for i in range(len(sizes)) if draw(st.booleans())]
-    links = [pair for pair in combinations(range(len(sizes)), 2) if draw(st.booleans())]
-    return blow_up(parts, cliques, links)
 
 
 @settings(max_examples=200)

@@ -6,6 +6,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from primecoprime import pcgraph
 from primecoprime import verification as ver
 from primecoprime.groups import Family, GroupSpec, cyclic, dicyclic, dihedral, s_indices
 from primecoprime.oracles import dominating_vertices
@@ -14,7 +15,6 @@ from primecoprime.pcgraph import (
     HJoinCheck,
     SimpleGraph,
     build_theta,
-    class_degrees,
     complete,
     component_count,
     dot_chunks,
@@ -28,6 +28,7 @@ from primecoprime.pcgraph import (
 )
 from conftest import (
     bfs_component_count,
+    blow_ups,
     cycle_graph,
     edge_list,
     from_edges,
@@ -105,6 +106,15 @@ def test_build_theta_labels_and_cap():
         build_theta(cyclic(100), vertex_cap=99)
 
 
+def test_build_theta_reads_labels_on_first_use(monkeypatch):
+    # a claim that never exports never builds the labels
+    calls = []
+    monkeypatch.setattr(pcgraph, "element_labels", lambda group: calls.append(group) or ["x"])
+    g = build_theta(cyclic(1))
+    assert calls == [] and g.edge_count() == 0
+    assert g.labels == ("x",) and g.labels == ("x",) and calls == [cyclic(1)]
+
+
 def test_theta_z4_as_h_join():
     z4 = cyclic(4)
     # orders (1, 2) sit at g0 and g2; orders 4 at g1 and g3
@@ -177,8 +187,9 @@ def test_theta_degrees_of_dominating_elements():
             assert g.rows[v].bit_count() == group.order - 1
 
 
-# class_degrees is the cheaper oracle of the degree, dominating-set and
-# completeness claims, so it is held to the expanded graph over these ranges
+# class degrees, read off the links, are the cheaper oracle of the degree,
+# dominating-set and completeness claims, so they are held to the expanded
+# rows over these ranges
 CLASS_DEGREE_GROUPS = (
     [cyclic(n) for n in range(1, 401)]
     + [dihedral(n) for n in range(3, 201)]
@@ -186,9 +197,9 @@ CLASS_DEGREE_GROUPS = (
 )
 
 
-def _class_degree_list(group):
-    degrees = [0] * group.order
-    for members, degree in class_degrees(group):
+def _class_degree_list(graph):
+    degrees = [0] * graph.vertex_count
+    for members, degree in graph.twin_degrees():
         for v in members:
             degrees[v] = degree
     return degrees
@@ -197,7 +208,7 @@ def _class_degree_list(group):
 def test_class_degrees_match_expanded_graph():
     for group in CLASS_DEGREE_GROUPS:
         theta = build_theta(group)
-        assert _class_degree_list(group) == [row.bit_count() for row in theta.rows], group
+        assert _class_degree_list(theta) == [row.bit_count() for row in theta.rows], group
 
 
 def test_class_degrees_match_naive_graph():
@@ -206,7 +217,7 @@ def test_class_degrees_match_naive_graph():
             group = GroupSpec(family, n)
             naive = naive_theta(group)
             expected = [row.bit_count() for row in naive.rows]
-            assert _class_degree_list(group) == expected, group
+            assert _class_degree_list(build_theta(group)) == expected, group
 
 
 def test_class_level_verdicts_match_expanded_graph():
@@ -307,7 +318,7 @@ def labelled_graphs(draw):
     edges = [(u, v) for u, v in draw(st.lists(pairs, max_size=40)) if u != v]
     graph = from_edges(m, edges)
     labels = draw(st.none() | st.lists(st.text(max_size=4), min_size=m, max_size=m))
-    return graph if labels is None else SimpleGraph(graph.classes, tuple(labels))
+    return graph if labels is None else SimpleGraph(graph.classes, lambda: labels)
 
 
 @given(labelled_graphs(), st.text(max_size=6), st.integers(-5, 10**6))
@@ -346,6 +357,27 @@ def test_class_built_graphs_match_their_edge_expansions(built):
     graph, m, edges = built
     assert graph == from_edges(m, edges)
     assert_exports_match_reference(graph)
+
+
+# graphs built from links alone: twin-class blow-ups, one class per vertex,
+# complete and empty blocks (a block of no vertex keeps one empty class), and
+# joins of these
+_link_built_graphs = st.recursive(
+    st.one_of(blow_ups(), labelled_graphs(), st.integers(0, 4).map(complete),
+              st.integers(0, 4).map(empty_graph)),
+    lambda inner: st.tuples(inner, inner).map(lambda pair: join(*pair)), max_leaves=4)
+
+
+@settings(max_examples=150)
+@given(_link_built_graphs)
+def test_degrees_read_off_links_match_row_bit_counts(graph):
+    # twin_degrees, min_degree and edge_count never build a mask; they must
+    # agree with the rows that class_table builds from the same links
+    degrees = [row.bit_count() for row in graph.rows]
+    assert _class_degree_list(graph) == degrees
+    assert graph.edge_count() * 2 == sum(degrees)
+    if degrees:
+        assert graph.min_degree() == min(degrees)
 
 
 @settings(max_examples=150)
