@@ -12,14 +12,18 @@ a disconnecting cut).  Nothing here is randomized; identical inputs always
 produce identical outputs.
 
 dominating_vertices reads SimpleGraph.twin_degrees, so it builds no mask;
-max_clique reads SimpleGraph.rows as bitsets; hamiltonian_search also reads
-class_table, so its checks and candidate lists take one step per twin class.
+max_clique and kl_partition_check read SimpleGraph.rows as bitsets.
+hamiltonian_search reads only class_table, so it builds no per-vertex row:
+a vertex's neighbours are its class mask less its own bit, its checks and
+candidate lists take one step per twin class, and its root cut tries the
+dominating set and then one neighbourhood per class.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 
 from .pcgraph import SimpleGraph, _bits, _mask, _spread, component_count, validate_partition
 
@@ -212,25 +216,17 @@ def dominating_vertices(graph: SimpleGraph) -> tuple[int, ...]:
 
 def _root_cut_witness(graph: SimpleGraph) -> tuple[tuple[int, ...], int] | None:
     """(S, components) for a set S whose removal leaves more than |S|
-    components, or None; tries the dominating set and the neighborhoods of
-    minimum-degree vertices."""
+    components, or None; tries the dominating set, then in (degree, least
+    member) order the neighbourhood of each class's least member, cut from
+    its class mask.  Twins leave the same count, and a degree of n - 1
+    leaves one component, so one candidate per class of lower degree."""
     n = graph.vertex_count
-    candidates: list[tuple[int, ...]] = []
-    seen: set[int] = set()  # the candidates' masks
+    class_of, table = graph.class_table()
     dom = dominating_vertices(graph)
-    if 0 < len(dom) < n:
-        candidates.append(dom)
-        seen.add(_mask(dom, n))
-    dmin = graph.min_degree()
-    for row in graph.rows:
-        if row.bit_count() != dmin:
-            continue
-        if 0 < dmin < n and row not in seen:
-            seen.add(row)
-            candidates.append(tuple(_bits(row)))
-        if len(candidates) >= 17:
-            break
-    for cut in candidates:
+    heads = sorted((d, members[0]) for members, d in graph.twin_degrees() if 0 < d < n - 1)
+    cuts = chain([dom] if 0 < len(dom) < n else [],
+                 (tuple(_bits(table[class_of[v]][1] & ~(1 << v))) for _, v in heads))
+    for cut in cuts:
         if (pieces := component_count(graph, cut)) > len(cut):
             return cut, pieces
     return None
@@ -269,17 +265,19 @@ def hamiltonian_search(
             note=f"removing {len(cut)} vertices leaves {pieces} components",
         )
 
-    adj = graph.rows
+    # a vertex's neighbours are its class mask less its own bit, and every
+    # read below is of a visited vertex or of another vertex's bit
     class_of, table = graph.class_table()
     full = (1 << n) - 1
     start = min((degree, members[0]) for members, degree in graph.twin_degrees())[1]
     start_bit = 1 << start
+    closing = table[class_of[start]][1]
 
     def feasible(endpoint: int, visited: int) -> bool:
         unvisited = full & ~visited
         if unvisited == 0:
             return True
-        if adj[start] & unvisited == 0:
+        if closing & unvisited == 0:
             return False  # nothing left that could close the cycle
         allowed = unvisited | (1 << endpoint) | start_bit
         u = unvisited
@@ -295,7 +293,7 @@ def hamiltonian_search(
         # one mask of candidates per remaining degree, in descending degree
         # order: the lowest bit of the last mask is the next to explore
         unvisited = full & ~visited
-        cand = c = adj[endpoint] & unvisited
+        cand = c = table[class_of[endpoint]][1] & unvisited
         by_degree: dict[int, int] = {}
         while c:
             members, mask, self_loop = table[class_of[(c & -c).bit_length() - 1]]
@@ -327,7 +325,7 @@ def hamiltonian_search(
         path.append(v)
         visited |= 1 << v
         if len(path) == n:
-            if (adj[v] >> start) & 1:
+            if (table[class_of[v]][1] >> start) & 1:
                 return HamiltonicityEvidence(Verdict.HAMILTONIAN, cycle=tuple(path))
             visited ^= 1 << v
             path.pop()

@@ -10,9 +10,11 @@ names it directly; run_decomp, over a list of families, goes through _decomp.
 Every graph oracle reads build_theta's graph, held as its order classes.
 The degree, dominating-set and completeness oracles and the dihedral
 Hamiltonicity bound read degrees off the class sizes, so they build no mask;
-decomp-* checks its H-join between classes and builds no graph.  The other
-oracles run on the class and neighbour masks that the graph builds on first
-use; no edge list is built.
+decomp-* checks its H-join between classes and builds no graph.  The
+Hamiltonicity search and the ham-cut component counts run on the class
+masks that the graph builds on first use; the clique search and the join
+identities also read the per-vertex rows cut from them.  No edge list is
+built.
 
 Records are sorted and serialized in a fixed order with no timestamps or
 randomness, so repeated runs of the same sweep produce byte-identical

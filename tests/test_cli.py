@@ -1,5 +1,6 @@
 """Command line behavior: output formats, exit codes, report determinism."""
 
+import ast
 import hashlib
 import io
 import json
@@ -274,6 +275,16 @@ def test_decomp_never_expands_the_graph(monkeypatch):
 )
 def test_degree_claims_never_expand_the_graph(name, monkeypatch):
     monkeypatch.setattr(pcgraph.SimpleGraph, "class_table", _refuse_expansion)
+    claim = ver.CLAIMS[name]
+    lo, hi, by_order = claim.default
+    records = claim.run(lo, hi, by_order)
+    assert records and all(r.verdict == "pass" for r in records)
+
+
+@pytest.mark.parametrize("name", ["ham-cyclic", "ham-dicyclic"])
+def test_hamiltonicity_search_never_builds_rows(name, monkeypatch):
+    # the search and its root cut read each vertex's neighbours off its class mask
+    monkeypatch.setattr(pcgraph.SimpleGraph, "rows", property(_refuse_expansion))
     claim = ver.CLAIMS[name]
     lo, hi, by_order = claim.default
     records = claim.run(lo, hi, by_order)
@@ -761,3 +772,30 @@ def test_console_script_end_to_end(tmp_path):
         assert result.returncode == 0, (name, result.stderr)
         assert report.exists(), name
         assert "total:" in result.stdout, name
+
+
+def test_readme_library_example_runs_as_written():
+    # each `EXPR  # LITERAL` line shows EXPR's value: the whole comment, or
+    # the part before ": " (the rest explains it); a prose comment, or one
+    # on an assignment, describes rather than pins
+    readme = PACKAGE_DIR.parents[1] / "README.md"
+    if not readme.is_file():
+        pytest.skip("imported from an install, not from the source tree")
+    block = re.search(r"## Library\n\n```python\n(.*?)```", readme.read_text(encoding="utf-8"), re.S).group(1)
+    namespace: dict = {}
+    exec(compile(block, str(readme), "exec"), namespace)
+    checked = []
+    for expr, comment in re.findall(r"^(\S[^#\n]*?)\s+# (.*)$", block, re.M):
+        try:
+            ast.parse(expr, mode="eval")
+        except SyntaxError:
+            continue
+        for text in (comment, comment.partition(": ")[0]):
+            try:
+                expected = ast.literal_eval(text)
+            except (ValueError, SyntaxError):
+                continue
+            assert eval(expr, namespace) == expected, expr
+            checked.append(expr)
+            break
+    assert len(checked) >= 8, checked  # the block pins eight values

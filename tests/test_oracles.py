@@ -261,15 +261,17 @@ def test_component_count_on_twin_class_blow_ups(g, data):
 
 # twin-class blow-ups on which the search backtracks: one before its cycle
 # (a clique class {2, 9}, independent classes of two and three members), one
-# to exhaustion, where one-vertex clique classes ({3}, {0}) make the
-# two-connections rule discount a vertex's own bit
+# to exhaustion, where every class is a clique, so the two-connections rule
+# discounts a vertex's own bit
 _BACKTRACKING = blow_up(
     [[1, 4, 10], [0, 7], [11], [8], [3, 5, 6], [2, 9]],
     [5],
     [(0, 3), (0, 4), (0, 5), (1, 2), (1, 5), (2, 3), (2, 4), (3, 5)],
 )
 _EXHAUSTED = blow_up(
-    [[3], [0], [5], [2, 4, 8], [1, 6, 7]], [0, 1, 4], [(0, 4), (1, 4), (2, 3), (2, 4), (3, 4)]
+    [[6], [1], [2, 5], [8], [0], [3, 4, 7]],
+    range(6),
+    [(0, 1), (0, 3), (0, 4), (1, 2), (1, 3), (1, 5), (2, 4), (3, 4), (4, 5)],
 )
 
 
@@ -280,7 +282,7 @@ _EXHAUSTED = blow_up(
      (build_theta(dicyclic(15)), Verdict.HAMILTONIAN, 60),
      (build_theta(dicyclic(59)), Verdict.HAMILTONIAN, 236),
      (_BACKTRACKING, Verdict.HAMILTONIAN, 476),
-     (_EXHAUSTED, Verdict.NON_HAMILTONIAN, 738)],
+     (_EXHAUSTED, Verdict.NON_HAMILTONIAN, 243)],
     ids=["petersen", "theta-Z113", "theta-Q15", "theta-Q59", "blow-up", "blow-up-exhausted"],
 )
 def test_search_least_budget(graph, verdict, budget):
@@ -291,6 +293,40 @@ def test_search_least_budget(graph, verdict, budget):
     if evidence.cycle is not None:
         assert_valid_cycle(graph, evidence.cycle)
     assert hamiltonian_search(graph, budget - 1).verdict is Verdict.INCONCLUSIVE
+
+
+# toughness cuts the search finds at its root, before any step: the clique
+# classes {2, 3, 11} and {1, 6, 8}, whose removal isolates the 8 vertices of
+# the independent classes; the neighbourhood of the independent class
+# {2, 4, 8}; that of the one-vertex clique class {0}, whose class mask holds
+# its own bit; and, where the neighbourhoods of {3, 4} (degree 2) and
+# {5, 6} (degree 3) are both cuts, the one of lower degree
+@pytest.mark.parametrize(
+    "graph, cut, pieces",
+    [(blow_up([[0, 4, 9, 10], [7, 12, 13], [2, 3, 11], [1, 6, 8], [5]], [2, 3],
+              [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4)]), (1, 2, 3, 6, 8, 11), 8),
+     (blow_up([[3], [0], [5], [2, 4, 8], [1, 6, 7]], [0, 1, 4],
+              [(0, 4), (1, 4), (2, 3), (2, 4), (3, 4)]), (1, 5, 6, 7), 5),
+     (blow_up([[0], [1, 2], [3], [4, 5]], [0, 1, 2], [(0, 3), (1, 3), (2, 3)]), (4, 5), 3),
+     (blow_up([[0, 1], [2], [3, 4], [5, 6]], [], [(0, 2), (0, 3), (1, 3)]), (0, 1), 3)],
+    ids=["clique-classes", "neighbourhood", "clique-neighbourhood", "least-degree-first"],
+)
+def test_search_root_cut(graph, cut, pieces):
+    evidence = hamiltonian_search(graph, 0)
+    assert evidence.verdict is Verdict.NON_HAMILTONIAN
+    assert evidence.cut_set == cut
+    assert f"{pieces} components" in evidence.note
+    assert cut_witness_check(graph, cut)
+
+
+@settings(max_examples=300)
+@given(blow_ups())
+def test_search_finds_neighbourhood_cuts_at_the_root(g):
+    # twins leave the same count, so one neighbourhood per class covers them all
+    n = g.vertex_count
+    cuts = [[u for u in range(n) if has_edge(g, v, u)] for v in range(n)]
+    if any(bfs_component_count(g, cut) > len(cut) for cut in cuts):
+        assert hamiltonian_search(g, 0).verdict is Verdict.NON_HAMILTONIAN
 
 
 # ---------------------------------------------------------------------------
